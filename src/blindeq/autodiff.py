@@ -143,15 +143,6 @@ def natural_log(a: Node) -> Node:
     return _wrap((a,), np.log(a.value), bwd)
 
 
-def exp(a: Node) -> Node:
-    out_val = np.exp(a.value)
-
-    def bwd(g):
-        _acc(a, g * out_val)
-
-    return _wrap((a,), out_val, bwd)
-
-
 def ssum(a: Node) -> Node:
     """Sum of all elements, as a 0-d node."""
 

@@ -27,7 +27,6 @@ H_SIM_2 = np.array([0.055 + 0.017j, -1.345 - 0.452j, 1.007 + 1.152j, 0.348 + 0.3
 
 @dataclass
 class ChannelParams:
-    variant: str = "dp_optical"          # "awgn_isi" | "dp_optical"
     h_sim: np.ndarray = field(default_factory=lambda: H_SIM.copy())
     gamma_hv: float = 0.1 * np.pi        # HV phase shift, rad
     phi_iq: float = 0.01 * np.pi         # IQ phase shift, rad
@@ -56,10 +55,6 @@ class ChannelParams:
 
     def gamma_eff(self, frame_index: int) -> float:
         return self.gamma_hv + self.dgamma_hv * frame_index * self.t_frame
-
-
-def default_params() -> ChannelParams:
-    return ChannelParams()
 
 
 def noise_sigma_sq(samples: np.ndarray, n_os: int, snr_db: float) -> float:

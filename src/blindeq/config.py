@@ -80,6 +80,24 @@ class ExperimentConfig:
             if key not in SWEEP_KEYS:
                 raise ConfigError(f"cannot sweep over {key!r}; "
                                   f"allowed: {SWEEP_KEYS}")
+        if self.sweep:
+            sweep_points(self)  # each point re-enters here without a sweep
+        else:
+            self._check_run()
+
+    def _check_run(self):
+        """Reject at load time what a run would reject only mid-run."""
+        if not 1 <= self.ma_window <= self.n_ind:
+            raise ConfigError(f"need 1 <= ma_window <= n_ind, got "
+                              f"{self.ma_window}, {self.n_ind}")
+        if self.kind != "MMSE-genie" and self.taps % 2 == 0:
+            raise ConfigError(f"taps must be odd, got {self.taps}")
+        if self.ch_taps is not None and self.ch_taps % 2 == 0:
+            raise ConfigError(f"ch_taps must be odd, got {self.ch_taps}")
+        if self.kind == "MMSE-genie" and self.variant != "awgn_isi":
+            raise ConfigError("MMSE-genie runs on a single channel (awgn_isi)")
+        if self.kind in ("VAE-LE", "VAE-NN", "VAEflex"):
+            _update_schedule(self)
 
     @property
     def n_pol(self) -> int:
@@ -126,7 +144,7 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 def _channel_params(cfg: ExperimentConfig) -> ch.ChannelParams:
     h = ch.H_SIM if cfg.h_sim == "h1" else ch.H_SIM_2
-    return ch.ChannelParams(variant=cfg.variant, h_sim=h, gamma_hv=cfg.gamma_hv,
+    return ch.ChannelParams(h_sim=h, gamma_hv=cfg.gamma_hv,
                             phi_iq=cfg.phi_iq, d_pmd=cfg.d_pmd, l_pmd=cfg.l_pmd,
                             beta_cd=cfg.beta_cd, l_cd=cfg.l_cd,
                             dgamma_hv=cfg.dgamma_hv, symbol_rate=cfg.symbol_rate,
@@ -158,13 +176,19 @@ def _propagate(cfg: ExperimentConfig, tx_sig, params, rng):
     return out.samples[None, :]
 
 
+def _update_schedule(cfg: ExperimentConfig) -> eq.UpdateSchedule:
+    """VAE batch schedule; flex_symbols applies to VAEflex only."""
+    flex = (cfg.flex_symbols if cfg.kind == "VAEflex" and cfg.flex_symbols is not None
+            else cfg.batch_symbols)
+    return eq.UpdateSchedule(n_b=cfg.batch_symbols, n_flex=flex, lr=cfg.lr,
+                             scheduler=cfg.scheduler)
+
+
 def _equalize(cfg: ExperimentConfig, rx: np.ndarray, c, tx_sym, rng):
     """Dispatch; returns (symbols, sigma_traj or None, result-extras dict)."""
     kind = cfg.kind
     extras = {}
     if kind == "MMSE-genie":
-        if cfg.n_pol != 1:
-            raise ConfigError("MMSE-genie runs on a single channel")
         _, out, _ = eq.mmse_baseline(rx[0], tx_sym[0],
                                      n_taps=cfg.mmse_taps * cfg.n_os,
                                      sps=cfg.n_os)
@@ -178,11 +202,7 @@ def _equalize(cfg: ExperimentConfig, rx: np.ndarray, c, tx_sym, rng):
         out = eq.viterbi_viterbi_cpe(out, window=cfg.cpe_window)
         extras["singularity_corr"] = corr
         return np.atleast_2d(out), None, extras
-    sched = eq.UpdateSchedule(
-        n_b=cfg.batch_symbols,
-        n_flex=(cfg.flex_symbols if kind == "VAEflex" and cfg.flex_symbols
-                else cfg.batch_symbols),
-        lr=cfg.lr, scheduler=cfg.scheduler)
+    sched = _update_schedule(cfg)
     if kind == "VAE-NN":
         state = eq.VaeNnState(cfg.n_pol, cfg.n_os, cfg.m, cfg.k1, cfg.k2,
                               f_ch=cfg.ch_taps or cfg.taps, rng=rng,

@@ -9,7 +9,7 @@ minimizing the negative evidence lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,18 +53,35 @@ class ButterflyFilter:
 def butterfly_apply(rx: np.ndarray, filt: ButterflyFilter, stride: int = 1) -> np.ndarray:
     """Centered 2x2 (or 1x1) MIMO convolution with strided downsampling.
 
-    rx has shape (pol, n_samples); returns (pol, n_samples // stride).
+    rx has shape (pol, n_samples); returns (pol, ceil(n_samples / stride)).
     """
-    pol, n = rx.shape
+    pol = rx.shape[0]
     if pol != filt.n_pol:
         raise ConfigError(f"input has {pol} polarizations, filter {filt.n_pol}")
-    out = np.zeros((pol, (n + stride - 1) // stride), dtype=np.complex128)
-    for p in range(pol):
-        acc = np.zeros(n, dtype=np.complex128)
-        for q in range(pol):
-            acc += convolve_same(rx[q], filt.taps[p, q])
-        out[p] = acc[::stride]
-    return out
+    return _filter_windows(filt, _windows(rx, filt.n_taps, stride))
+
+
+def _filter_windows(filt: ButterflyFilter, win: np.ndarray) -> np.ndarray:
+    """Convolve a block of (n, pol, F) windows with the filter; (pol, n)."""
+    # the windows, like the CMA taps, are correlation-oriented; the VAE
+    # (ButterflyFilter) taps are convolution-oriented, hence the flip
+    taps = filt.taps[:, :, ::-1].reshape(filt.n_pol, -1)
+    return _taps_dot(taps, win.reshape(win.shape[0], -1)).T
+
+
+def _windows(rx: np.ndarray, n_taps: int, stride: int) -> np.ndarray:
+    """Sliding, symbol-strided windows (n_sym, pol, F), centered; a view."""
+    mh = n_taps // 2
+    pad = np.pad(rx, ((0, 0), (mh, mh)))
+    view = np.lib.stride_tricks.sliding_window_view(pad, n_taps, axis=1)
+    return view[:, ::stride].transpose(1, 0, 2)
+
+
+def _taps_dot(taps_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The taps x windows product: (pol, K) taps times each row of an (n, K)
+    block of flattened windows, giving (n, pol).  A stacked matmul, so each
+    output is summed in the same order whatever the block length."""
+    return np.matmul(taps_mat, w[..., None])[..., 0]
 
 
 def godard_radius(c: Constellation) -> float:
@@ -80,54 +97,17 @@ def godard_radius(c: Constellation) -> float:
 # CMA family
 
 
-def cma_step(filt: ButterflyFilter, windows: np.ndarray, mu: float, r2: float) -> np.ndarray:
-    """One symbol-wise Godard update.
+def cma_block(taps_mat: np.ndarray, w: np.ndarray, r2: float):
+    """Godard's CMA over a block of symbols at fixed taps.
 
-    ``windows`` is (pol, F): the received samples currently under each
-    filter (same orientation as the taps).  Updates the filters in place and
-    returns the output symbol per polarization.
+    ``taps_mat`` is (pol, pol * F), correlation-oriented; ``w`` holds the
+    block's flattened windows, (n, pol * F).  Returns the outputs y, (n, pol),
+    and each symbol's Godard ascent direction e conj(w) with
+    e = y (R2 - |y|^2), (n, pol, pol * F).
     """
-    if windows.shape != (filt.n_pol, filt.n_taps):
-        raise ConfigError(f"window shape {windows.shape} does not match filter "
-                          f"({filt.n_pol}, {filt.n_taps})")
-    out = np.einsum("pqf,qf->p", filt.taps, windows)
+    out = _taps_dot(taps_mat, w)
     err = out * (r2 - np.abs(out) ** 2)
-    filt.taps += mu * err[:, None, None] * np.conj(windows)[None, :, :]
-    return out
-
-
-def cma_gradient(taps: np.ndarray, windows: np.ndarray, r2: float):
-    """Per-symbol Godard ascent direction and output at fixed filters."""
-    out = np.einsum("pqf,qf->p", taps, windows)
-    err = out * (r2 - np.abs(out) ** 2)
-    return err[:, None, None] * np.conj(windows)[None, :, :], out
-
-
-def cma_batch_step(filt: ButterflyFilter, batch_windows: np.ndarray, mu: float,
-                   r2: float, n_flex: int | None = None) -> np.ndarray:
-    """Single update from the batch-averaged Godard gradient.
-
-    ``batch_windows`` is (n_b, pol, F); returns the first n_flex outputs
-    (all of them for the plain batch scheme).
-    """
-    n_b = batch_windows.shape[0]
-    n_flex = n_b if n_flex is None else n_flex
-    grad = np.zeros_like(filt.taps)
-    out = np.empty((filt.n_pol, n_b), dtype=np.complex128)
-    for k in range(n_b):
-        g, o = cma_gradient(filt.taps, batch_windows[k], r2)
-        grad += g
-        out[:, k] = o
-    filt.taps += mu * grad / n_b
-    return out[:, :n_flex]
-
-
-def _windows(rx: np.ndarray, n_taps: int, stride: int) -> np.ndarray:
-    """Sliding, symbol-strided windows (n_sym, pol, F), centered."""
-    mh = n_taps // 2
-    pad = np.pad(rx, ((0, 0), (mh, mh)))
-    view = np.lib.stride_tricks.sliding_window_view(pad, n_taps, axis=1)
-    return view[:, ::stride].transpose(1, 0, 2)
+    return out, err[:, :, None] * np.conj(w)[:, None, :]
 
 
 def _unit_power(rx: np.ndarray) -> np.ndarray:
@@ -147,9 +127,13 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
             n_batch: int | None = None, n_flex: int | None = None):
     """Run a CMA over a sample stream; returns (out, filt, singularity_corr).
 
-    n_batch=None gives the classical symbol-wise update; otherwise the
-    batch/flex scheme (n_flex defaults to n_batch).  The learning-rate
-    scheduler, when enabled, halves mu per 20 frame indices.
+    The taps are fixed for the first n_b symbols.  After that they are
+    updated every n_flex symbols by mu times the mean of the last n_b Godard
+    directions, each computed at the taps in force when its symbol was
+    equalized.  n_batch=None gives the classical symbol-wise update
+    (n_b = n_flex = 1); otherwise n_b = n_batch and n_flex defaults to it.
+    At every frame start the scheduler, when enabled, halves mu per 20 frame
+    indices, and non-finite taps stop the run with the rest of the output NaN.
     """
     rx = _unit_power(np.atleast_2d(rx))
     pol = rx.shape[0]
@@ -159,35 +143,40 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
     win = _windows(rx, n_taps, sps)
     n_sym = win.shape[0]
     out = np.empty((pol, n_sym), dtype=np.complex128)
-    if n_batch is not None:
-        n_flex = n_batch if n_flex is None else n_flex
-        buf = np.zeros((n_batch, pol, pol * n_taps), dtype=np.complex128)
+    if n_batch is None:
+        n_batch = n_flex = 1
+    elif n_flex is None:
+        n_flex = n_batch
+    # ring buffer: symbol k's direction sits in slot k % n_batch, and the
+    # mean runs in slot order
+    dirs = np.zeros((n_batch, pol, pol * n_taps), dtype=np.complex128)
     mu = lr0
-    errstate = np.errstate(over="ignore", invalid="ignore")
-    errstate.__enter__()
-    for k in range(n_sym):
-        if k % n_frame == 0:
-            if scheduler:
-                mu = lr_schedule(k // n_frame, lr0)
-            if not np.all(np.isfinite(taps_mat)):
-                # diverged: freeze and flag the remaining output
-                out[:, k:] = np.nan
-                break
-        w = win[k].ravel()
-        o = taps_mat @ w
-        out[:, k] = o
-        err = o * (r2 - np.abs(o) ** 2)
-        g = err[:, None] * np.conj(w)[None, :]
-        if n_batch is None:
-            taps_mat += mu * g
-        else:
-            buf[k % n_batch] = g
-            if (k + 1) >= n_batch and (k + 1 - n_batch) % n_flex == 0:
-                taps_mat += mu * buf.mean(axis=0)
-    errstate.__exit__(None, None, None)
-    corr = (_singularity_correlation(filt)
-            if pol == 2 and np.all(np.isfinite(filt.taps)) else float("nan"))
-    corr = corr if pol == 2 else 0.0
+    lo, update = 0, n_batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo < n_sym:
+            if lo % n_frame == 0:
+                if scheduler:
+                    mu = lr_schedule(lo // n_frame, lr0)
+                if not np.all(np.isfinite(taps_mat)):
+                    # diverged: freeze and flag the remaining output
+                    out[:, lo:] = np.nan
+                    break
+            # a block of fixed taps ends at the next update, frame start or
+            # wrap of the ring buffer
+            slot = lo % n_batch
+            hi = min(update, (lo // n_frame + 1) * n_frame, lo - slot + n_batch, n_sym)
+            w = win[lo:hi].reshape(hi - lo, -1)
+            o, dirs[slot: slot + hi - lo] = cma_block(taps_mat, w, r2)
+            out[:, lo:hi] = o.T
+            if hi == update:
+                # the mean of one direction is the direction itself
+                taps_mat += mu * (dirs[0] if n_batch == 1 else dirs.sum(axis=0) / n_batch)
+                update += n_flex
+            lo = hi
+    if pol == 1:
+        return out, filt, 0.0
+    corr = (_singularity_correlation(filt) if np.all(np.isfinite(filt.taps))
+            else float("nan"))
     return out, filt, corr
 
 
@@ -232,11 +221,8 @@ def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int = 20,
     """
     rx = np.asarray(rx, dtype=np.complex128)
     tx = np.asarray(tx, dtype=np.complex128)
-    mh = n_taps // 2
-    pad = np.pad(rx, (mh, mh + n_taps))
-    x = np.lib.stride_tricks.sliding_window_view(pad, n_taps)[::sps]
     n_sym = min(tx.shape[0], rx.shape[0] // sps)
-    x = x[:n_sym]
+    x = _windows(rx[None, :], n_taps, sps)[:n_sym, 0]
     gram = x.conj().T @ x + ridge * np.eye(n_taps)
     best = None
     for d in range(-max_delay, max_delay + 1):
@@ -278,13 +264,6 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-
-def adam_update(params, grads, state: Adam, lr: float) -> None:
-    """Functional wrapper: load grads into the leaves and step."""
-    for p, g in zip(params, grads):
-        p.grad = np.asarray(g, dtype=np.float64)
-    state.step(lr)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +598,6 @@ class EqualizerResult:
     out: np.ndarray                       # (pol, n_sym) equalized symbols
     sigma_traj: np.ndarray = None         # (n_updates, 2): symbol pos, sigma^2
     ch_filter: ButterflyFilter = None     # channel-model estimate (VAE only)
-    eq_filter: ButterflyFilter = None
     singularity_corr: float = 0.0
 
 
@@ -660,5 +638,4 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
             if is_le and state.n_pol == 2 else 0.0)
     return EqualizerResult(out=out, sigma_traj=np.array(traj),
                            ch_filter=state.ch_filter(),
-                           eq_filter=state.eq_filter() if is_le else None,
                            singularity_corr=corr)

@@ -37,10 +37,6 @@ class Constellation:
     def n_levels(self) -> int:
         return self.levels.shape[0]
 
-    def table(self) -> str:
-        rows = [f"{a:+.6f}  {p:.6f}" for a, p in zip(self.levels, self.prior)]
-        return "level      prior\n" + "\n".join(rows)
-
 
 def build_constellation(m: int, nu: float = 0.0) -> Constellation:
     """Unit-energy square M-QAM with a Maxwell-Boltzmann prior."""

@@ -1,5 +1,5 @@
-"""Pulse shaping, resampling, and spectral transforms shared by the channel
-models and the equalizers."""
+"""Pulse shaping, resampling, and the DFT frequency grid shared by the
+channel models and the equalizers."""
 
 from __future__ import annotations
 
@@ -26,14 +26,6 @@ class ComplexSignal:
 
     def __len__(self):
         return self.samples.shape[0]
-
-    @property
-    def re(self) -> np.ndarray:
-        return self.samples.real
-
-    @property
-    def im(self) -> np.ndarray:
-        return self.samples.imag
 
 
 def rrc_taps(alpha: float, span: int, sps: int) -> np.ndarray:
@@ -90,14 +82,6 @@ def shape(symbols: ComplexSignal, rrc: np.ndarray, n_os: int) -> ComplexSignal:
         raise ConfigError(f"shape expects symbols at 1 sps, got {symbols.sps}")
     up = upsample_zero_insert(symbols, n_os)
     return ComplexSignal(convolve_same(up.samples, rrc), sps=n_os)
-
-
-def dft(x: np.ndarray) -> np.ndarray:
-    return np.fft.fft(np.asarray(x, dtype=np.complex128))
-
-
-def idft(x: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(np.asarray(x, dtype=np.complex128))
 
 
 def frequency_grid(n: int, n_os: int, symbol_rate: float) -> np.ndarray:

@@ -39,8 +39,7 @@ def _mmse_gate_ser(snr_db: float, nu: float, seed: int,
     rng = np.random.default_rng(seed)
     c = modem.build_constellation(64, nu)
     s = modem.sample_symbols(c, n, rng)
-    p = ch.ChannelParams(variant="awgn_isi", h_sim=ch.H_SIM.copy(),
-                         snr_db=snr_db)
+    p = ch.ChannelParams(h_sim=ch.H_SIM.copy(), snr_db=snr_db)
     rx = ch.awgn_isi_apply(s, p, rng)
     _, out, _ = eq.mmse_baseline(rx.samples, s.samples, n_taps=20, sps=1)
     sl = slice(50, -50)

@@ -45,7 +45,7 @@ def test_awgn_isi_noiseless_is_convolution():
     c = modem.build_constellation(4, 0.0)
     s = modem.sample_symbols(c, 200, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    p = ch.ChannelParams(variant="awgn_isi", snr_db=np.inf)
+    p = ch.ChannelParams(snr_db=np.inf)
     out = ch.awgn_isi_apply(tx, p, rng)
     h = ch.oversampled_impulse_response(p.h_sim, 2)
     assert np.allclose(out.samples, sigproc.convolve_same(tx.samples, h))
@@ -57,8 +57,7 @@ def test_awgn_isi_snr_calibration():
     c = modem.build_constellation(16, 0.0)
     s = modem.sample_symbols(c, 400_000, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    p = ch.ChannelParams(variant="awgn_isi", h_sim=np.array([1.0 + 0j]),
-                         snr_db=15.0)
+    p = ch.ChannelParams(h_sim=np.array([1.0 + 0j]), snr_db=15.0)
     out = ch.awgn_isi_apply(tx, p, rng)
     noise = out.samples - tx.samples
     es = float(np.mean(np.abs(s.samples) ** 2))

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from blindeq import cli, config
 from blindeq.errors import ConfigError
@@ -137,6 +138,33 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     path.write_text("seed: 1\nnope: 2\n")
     assert cli.main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"ma_window": 4},                                  # more than n_ind = 3
+    {"ma_window": 0},
+    {"taps": 12},
+    {"kind": "VAE-LE", "ch_taps": 8},
+    {"kind": "VAEflex", "batch_symbols": 100, "flex_symbols": 200},
+    {"kind": "VAEflex", "batch_symbols": 100, "flex_symbols": 0},
+    {"kind": "MMSE-genie", "variant": "dp_optical"},
+    {"sweep": {"taps": [11, 12]}},                     # only the 2nd point is bad
+    {"sweep": {"kind": ["CMA", "MMSE-genie"]}, "variant": "dp_optical"},
+])
+def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad):
+    def no_run(*args):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(config, "run_single", no_run)
+    raw = {"seed": 1, "kind": "CMA", "m": 16, "taps": 11, "n_frame": 1000,
+           "n_ind": 3, "ma_window": 2}
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(dict(raw, **bad)))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    # the same check at load time; a sweep of good points loads
+    with pytest.raises(ConfigError):
+        config.from_dict(dict(raw, **bad))
+    config.from_dict(dict(raw, sweep={"taps": [11, 13]}))
 
 
 def test_cli_recipe_overrides_parse():

@@ -35,34 +35,96 @@ def test_butterfly_dirac_is_identity():
         eq.butterfly_apply(rx[:1], filt)
 
 
+@pytest.mark.parametrize("pol", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_butterfly_apply_random_taps(pol, stride):
+    # a Dirac filter cannot tell convolution from correlation; random taps can
+    rng = np.random.default_rng(12)
+    rx = rng.standard_normal((pol, 41)) + 1j * rng.standard_normal((pol, 41))
+    taps = rng.standard_normal((pol, pol, 5)) + 1j * rng.standard_normal((pol, pol, 5))
+    out = eq.butterfly_apply(rx, eq.ButterflyFilter(taps), stride=stride)
+    ref = np.stack([sum(sigproc.convolve_same(rx[q], taps[p, q]) for q in range(pol))
+                    for p in range(pol)])[:, ::stride]
+    assert out.shape == ref.shape
+    assert np.allclose(out, ref, rtol=0, atol=1e-12)
+
+
 def test_cma_step_hand_oracle():
-    # single pol, single tap: out = t w, e = out (r2 - |out|^2),
-    # t <- t + mu e conj(w)
+    # single pol, single tap: out = t w, e = out (r2 - |out|^2), and the
+    # Godard direction e conj(w) is what cma_run adds, times mu, to the taps
     t0 = 0.7 - 0.2j
-    w = 1.1 + 0.4j
-    mu, r2 = 1e-2, 1.32
-    filt = eq.ButterflyFilter(np.array(t0).reshape(1, 1, 1))
-    out = eq.cma_step(filt, np.array(w).reshape(1, 1), mu, r2)
-    o = t0 * w
-    e = o * (r2 - abs(o) ** 2)
-    assert abs(out[0] - o) < 1e-15
-    assert abs(filt.taps[0, 0, 0] - (t0 + mu * e * np.conj(w))) < 1e-15
+    w = np.array([[1.1 + 0.4j], [-0.3 + 0.9j]])
+    r2 = 1.32
+    out, dirs = eq.cma_block(np.array([[t0]]), w, r2)
+    assert out.shape == (2, 1) and dirs.shape == (2, 1, 1)
+    for k in range(2):
+        o = t0 * w[k, 0]
+        e = o * (r2 - abs(o) ** 2)
+        assert abs(out[k, 0] - o) < 1e-15
+        assert abs(dirs[k, 0, 0] - e * np.conj(w[k, 0])) < 1e-15
 
 
 def test_cma_step_stationary_on_radius():
-    filt = eq.ButterflyFilter.dirac(1, 1)
-    w = np.array([[np.exp(0.3j)]])  # |out| = 1 = sqrt(R2) for QPSK
-    before = filt.taps.copy()
-    eq.cma_step(filt, w, 1e-2, 1.0)
-    assert np.allclose(filt.taps, before)
+    taps = eq.ButterflyFilter.dirac(2, 1).taps.reshape(2, 2)
+    w = np.exp(1j * np.array([[0.3, -1.2], [2.0, 0.7]]))  # |out| = 1 = sqrt(R2)
+    out, dirs = eq.cma_block(taps, w, 1.0)
+    assert np.allclose(out, w)
+    assert np.allclose(dirs, 0.0)
 
 
-def test_cma_batch_step_flex_truncation():
-    rng = np.random.default_rng(1)
-    filt = eq.ButterflyFilter.dirac(1, 3)
-    wins = rng.standard_normal((8, 1, 3)) + 1j * rng.standard_normal((8, 1, 3))
-    out = eq.cma_batch_step(filt, wins, 1e-3, 1.0, n_flex=3)
-    assert out.shape == (1, 3)
+def _naive_cma(rx, r2, n_taps, lr0, sps, n_frame, scheduler, n_b, n_flex):
+    """Per-symbol reference: outputs at the current taps, directions in a
+    ring buffer, taps += mu * mean once n_b, then every n_flex, symbols in."""
+    pol = rx.shape[0]
+    mh = n_taps // 2
+    pad = np.pad(rx, ((0, 0), (mh, mh)))
+    taps = np.zeros((pol, pol * n_taps), dtype=complex)
+    for p in range(pol):
+        taps[p, p * n_taps + mh] = 1.0
+    n_sym = -(-rx.shape[1] // sps)
+    out = np.empty((pol, n_sym), dtype=complex)
+    buf = np.zeros((n_b, pol, pol * n_taps), dtype=complex)
+    mu = lr0
+    for k in range(n_sym):
+        if scheduler and k % n_frame == 0:
+            mu = lr0 * 2.0 ** (-(k // n_frame // 20))
+        w = pad[:, k * sps: k * sps + n_taps].ravel()
+        out[:, k] = taps @ w
+        buf[k % n_b] = (out[:, k] * (r2 - np.abs(out[:, k]) ** 2))[:, None] * np.conj(w)
+        if k + 1 >= n_b and (k + 1 - n_b) % n_flex == 0:
+            taps = taps + mu * buf.mean(axis=0)
+    return out, taps.reshape(pol, pol, n_taps)
+
+
+@pytest.mark.parametrize("n_b, n_flex", [(None, None), (7, None), (7, 3)])
+def test_cma_run_schedule_oracle(n_b, n_flex):
+    # 70 symbols in frames of 3: frame index 20 (the first halving of mu)
+    # starts at symbol 60, inside the n_flex block [58, 61); n_b = 7 is not a
+    # multiple of n_flex = 3
+    rng = np.random.default_rng(13)
+    c = modem.build_constellation(16, 0.0)
+    rx = rng.standard_normal((2, 140)) + 1j * rng.standard_normal((2, 140))
+    out, filt, corr = eq.cma_run(rx, c, 5, 0.05, 2, n_frame=3, scheduler=True,
+                                 n_batch=n_b, n_flex=n_flex)
+    rx = rx / np.sqrt(np.mean(np.abs(rx) ** 2))
+    ref_out, ref_taps = _naive_cma(rx, eq.godard_radius(c), 5, 0.05, 2, 3, True,
+                                   n_b or 1, n_flex or n_b or 1)
+    # the same arithmetic in the same order, so the same bits
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(filt.taps, ref_taps)
+    assert not np.allclose(filt.taps, eq.ButterflyFilter.dirac(2, 5).taps)
+    assert np.isfinite(corr)
+
+
+def test_cma_run_divergence_flags_rest_of_stream():
+    rng = np.random.default_rng(14)
+    c = modem.build_constellation(4, 0.0)
+    rx = rng.standard_normal((2, 400)) + 1j * rng.standard_normal((2, 400))
+    for n_b in (None, 10):
+        out, filt, corr = eq.cma_run(rx, c, 5, 1e6, 2, n_frame=50, n_batch=n_b)
+        assert not np.all(np.isfinite(filt.taps))
+        assert np.all(np.isnan(out[:, 50:]))  # every symbol after frame 0
+        assert np.isnan(corr)
 
 
 def test_lr_schedule():
@@ -79,7 +141,7 @@ def test_cma_run_recovers_qpsk():
     c = modem.build_constellation(4, 0.0)
     s = modem.sample_symbols(c, 30_000, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    p = ch.ChannelParams(variant="awgn_isi", snr_db=25.0)
+    p = ch.ChannelParams(snr_db=25.0)
     rx = ch.awgn_isi_apply(tx, p, rng)
     out, filt, corr = eq.cma_run(rx.samples, c, 15, 2e-3, 2, n_frame=5_000)
     out = eq.viterbi_viterbi_cpe(out)
@@ -119,7 +181,7 @@ def test_mmse_baseline_fractionally_spaced():
     c = modem.build_constellation(16, 0.0)
     s = modem.sample_symbols(c, 20_000, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    p = ch.ChannelParams(variant="awgn_isi", snr_db=np.inf)
+    p = ch.ChannelParams(snr_db=np.inf)
     rx = ch.awgn_isi_apply(tx, p, rng)
     _, out, _ = eq.mmse_baseline(rx.samples, s.samples, n_taps=40, sps=2)
     mse = np.mean(np.abs(out[100:-100] - s.samples[100:-100]) ** 2)
@@ -142,8 +204,9 @@ def test_adam_two_step_oracle():
     g1, g2 = rng.standard_normal(3), rng.standard_normal(3)
     p = ad.leaf(np.zeros(3))
     opt = eq.Adam([p])
-    eq.adam_update([p], [g1], opt, 1e-2)
-    eq.adam_update([p], [g2], opt, 1e-2)
+    for g in (g1, g2):
+        p.grad = g.copy()
+        opt.step(1e-2)
     # independent re-derivation of two textbook Adam steps
     b1, b2, e = 0.9, 0.999, 1e-8
     m = (1 - b1) * g1
