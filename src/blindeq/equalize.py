@@ -631,9 +631,10 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
         traj.append((t, bd.sigma_sq))
         t += schedule.n_flex
     if t < n_sym and is_le:
-        # tail shorter than a batch: equalize with the final filters
-        tail = butterfly_apply(rx[:, t * n_os:], state.eq_filter(), stride=n_os)
-        out[:, t: t + tail.shape[1]] = tail[:, : n_sym - t]
+        # tail shorter than a batch: the final filters over the tail's
+        # windows of the whole stream, so it keeps its left context
+        win = _windows(rx, state.f_eq, n_os)[t:n_sym]
+        out[:, t:] = _filter_windows(state.eq_filter(), win)
     corr = (_singularity_correlation(state.eq_filter())
             if is_le and state.n_pol == 2 else 0.0)
     return EqualizerResult(out=out, sigma_traj=np.array(traj),

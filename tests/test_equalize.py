@@ -292,8 +292,19 @@ def test_run_vae_covers_tail():
     sched = eq.UpdateSchedule(n_b=250, n_flex=250, lr=1e-3)
     res = eq.run_vae(rx[None, :], c, state, sched)
     assert res.out.shape == (1, 1_050)
-    assert np.all(res.out[:, -50:] != 0)  # tail handled by the final filters
     assert res.sigma_traj.shape == (4, 2)
+    # the 50-symbol tail is the final filters over the whole normalized
+    # stream, so its first symbols see the samples before it, not zeros
+    rxn = eq._unit_power(rx[None, :]) / np.sqrt(2)
+    full = eq.butterfly_apply(rxn, state.eq_filter(), stride=2)
+    assert np.allclose(res.out[:, 1_000:], full[:, 1_000:], rtol=0, atol=1e-12)
+    # a stream shorter than one batch is all tail, at the initial filters
+    short = eq.VaeLeState(1, 2, f_eq=7, f_ch=7)
+    res = eq.run_vae(rx[None, :400], c, short, sched)
+    ref = eq.butterfly_apply(eq._unit_power(rx[None, :400]) / np.sqrt(2),
+                             short.eq_filter(), stride=2)
+    assert res.sigma_traj.size == 0
+    assert np.allclose(res.out, ref, rtol=0, atol=1e-12)
 
 
 def test_vae_state_validation():
