@@ -82,11 +82,8 @@ class ExperimentConfig:
                                   f"allowed: {SWEEP_KEYS}")
         if self.sweep:
             sweep_points(self)  # each point re-enters here without a sweep
-        else:
-            self._check_run()
-
-    def _check_run(self):
-        """Reject at load time what a run would reject only mid-run."""
+            return
+        # what a run would otherwise reject only mid-run
         if not 1 <= self.ma_window <= self.n_ind:
             raise ConfigError(f"need 1 <= ma_window <= n_ind, got "
                               f"{self.ma_window}, {self.n_ind}")
@@ -97,7 +94,7 @@ class ExperimentConfig:
         if self.kind == "MMSE-genie" and self.variant != "awgn_isi":
             raise ConfigError("MMSE-genie runs on a single channel (awgn_isi)")
         if self.kind in ("VAE-LE", "VAE-NN", "VAEflex"):
-            _update_schedule(self)
+            _update_schedule(self)  # 1 <= n_flex <= n_b, as the run needs
 
     @property
     def n_pol(self) -> int:
