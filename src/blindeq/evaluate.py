@@ -38,24 +38,26 @@ class Alignment:
     n_eval: int
 
 
+# The I and Q decisions of x w^r, r = 0..7, then of conj(x) w^r, as rows of the
+# stacked decisions of x, x w, -x, -x w (w = e^{j pi/4}; row 2 * (2 * negated +
+# b) + component): w^(2k+b) = w^b j^k, and j maps (u, v) to (-v, u);
+# conj(x) w^r = conj(x w^-r), and conj maps (u, v) to (u, -v).
+_DECISION_ROWS = np.reshape([0, 1, 2, 3, 5, 0, 7, 2, 4, 5, 6, 7, 1, 4, 3, 6,
+                             0, 5, 3, 2, 1, 0, 6, 3, 4, 1, 7, 6, 5, 4, 2, 7], (16, 2))
+
+
 def _candidate_shifts(x_hat: np.ndarray, ref: np.ndarray, max_shift: int):
-    """Correlation-peak shift candidates for the plain and conjugated frame."""
+    """Correlation-peak shift candidates (first peak by lag) for the plain and
+    conjugated frame."""
     n = ref.shape[0]
+    lags = np.arange(-min(max_shift, n - 1), min(max_shift, n - 1) + 1)
     cands = {0}
     for sig in (x_hat, np.conj(x_hat)):
-        corr = np.correlate(sig, ref, mode="full")  # lag = idx - (n - 1)
-        lags = np.arange(corr.shape[0]) - (n - 1)
-        ok = np.abs(lags) <= max_shift
-        cands.add(int(lags[ok][np.argmax(np.abs(corr[ok]))]))
+        # sum_i sig[i + l] conj(ref[i]) over the overlap at lag l
+        corr = [np.vdot(ref[max(-l, 0): n - max(l, 0)], sig[max(l, 0): n - max(-l, 0)])
+                for l in lags]
+        cands.add(int(lags[np.argmax(np.abs(corr))]))
     return sorted(cands)
-
-
-def ser_estimate(x_hat: np.ndarray, ref_i: np.ndarray, ref_q: np.ndarray,
-                 c: Constellation, sigma_sq: float) -> tuple[int, int]:
-    """(errors, evaluated) for MAP hard decisions against reference indices."""
-    i_idx, q_idx = map_decide(x_hat, c, sigma_sq)
-    errors = int(np.count_nonzero((i_idx != ref_i) | (q_idx != ref_q)))
-    return errors, x_hat.shape[0]
 
 
 def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
@@ -65,9 +67,11 @@ def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
 
     Shifts are restricted to correlation-peak candidates (always including
     zero, so the result is never worse than the identity alignment);
-    rotations and conjugation are searched exhaustively.  The estimate is
+    rotations and conjugation are searched exhaustively, the first minimum in
+    the order (shift, conjugate, rotation) winning.  The estimate is
     amplitude-normalized to the reference before decisions, removing the
-    residual gain ambiguity of blind equalizers.
+    residual gain ambiguity of blind equalizers.  Only x, x w, -x and -x w are
+    decided (-x not mirrored from x, as 0 and NaN decide one-sided).
     """
     if x_hat.shape != ref.shape:
         raise ConfigError(f"shape mismatch: {x_hat.shape} vs {ref.shape}")
@@ -75,24 +79,26 @@ def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
     if amp > 0:
         x_hat = x_hat * (np.mean(np.abs(ref)) / amp)
     n = ref.shape[0]
-    ref_i_all, ref_q_all = symbol_indices(c, ref)
+    ref_iq = np.stack(symbol_indices(c, ref))
+    z = [x_hat * _ROTATIONS[0], x_hat * _ROTATIONS[1]]
+    dec = np.reshape([map_decide(v, c, sigma_sq) for v in z + [-z[0], -z[1]]], (8, n))
     best = None
     for s in _candidate_shifts(x_hat, ref, max_shift):
-        lo_hat, lo_ref = max(s, 0), max(-s, 0)
+        lo_hat, lo_ref = max(s, 0) + edge_trim, max(-s, 0) + edge_trim
         length = n - abs(s) - 2 * edge_trim
         if length <= 0:
             continue
-        seg = x_hat[lo_hat + edge_trim: lo_hat + edge_trim + length]
-        ri = ref_i_all[lo_ref + edge_trim: lo_ref + edge_trim + length]
-        rq = ref_q_all[lo_ref + edge_trim: lo_ref + edge_trim + length]
-        for conj in (False, True):
-            base = np.conj(seg) if conj else seg
-            for r in range(8):
-                err, n_eval = ser_estimate(base * _ROTATIONS[r], ri, rq, c, sigma_sq)
-                ser = err / n_eval
-                if best is None or ser < best.ser:
-                    best = Alignment(shift=s, rotation=r, conjugate=conj,
-                                     ser=ser, n_eval=n_eval)
+        seg = dec[:, lo_hat: lo_hat + length]
+        miss_i, miss_q = seg != ref_iq[:, None, lo_ref: lo_ref + length]
+        err = np.count_nonzero(miss_i[_DECISION_ROWS[:, 0]] | miss_q[_DECISION_ROWS[:, 1]],
+                               axis=1)
+        k = int(np.argmin(err))
+        ser = int(err[k]) / length
+        if best is None or ser < best.ser:
+            best = Alignment(shift=s, rotation=k % 8, conjugate=k >= 8,
+                             ser=ser, n_eval=length)
+    if best is None:
+        raise ConfigError(f"edge_trim {edge_trim} leaves no symbols to compare")
     return best
 
 

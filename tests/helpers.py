@@ -1,6 +1,7 @@
-"""Shared test utilities: finite-difference gradient checking and tiny
+"""Shared test utilities: finite-difference gradient checking, tiny
 variational-loss instances used by both the unit tests and the acceptance
-suite."""
+suite, and the exhaustive ambiguity search that evaluate's is checked
+against."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from blindeq import autodiff as ad
 from blindeq import equalize as eq
+from blindeq import evaluate as ev
 from blindeq import modem
 
 
@@ -146,3 +148,53 @@ def tiny_nn_instance(rng: np.random.Generator):
         return total
 
     return state.params, build
+
+
+# ---------------------------------------------------------------------------
+# exhaustive ambiguity search
+
+_ROTATIONS = np.exp(1j * np.pi / 4.0 * np.arange(8))
+
+
+def candidate_shifts_full(x_hat, ref, max_shift):
+    """Shift candidates from the full-lag correlation, masked to
+    |lag| <= max_shift: 0 and the first peak of the plain and the
+    conjugated frame."""
+    n = ref.shape[0]
+    cands = {0}
+    for sig in (x_hat, np.conj(x_hat)):
+        corr = np.correlate(sig, ref, mode="full")  # lag = idx - (n - 1)
+        lags = np.arange(corr.shape[0]) - (n - 1)
+        ok = np.abs(lags) <= max_shift
+        cands.add(int(lags[ok][np.argmax(np.abs(corr[ok]))]))
+    return sorted(cands)
+
+
+def resolve_ambiguity_exhaustive(x_hat, ref, c, sigma_sq, max_shift=50,
+                                 edge_trim=0):
+    """evaluate.resolve_ambiguity by brute force: the shift candidates from
+    the full-lag correlation, and one MAP decision pass per candidate shift,
+    conjugation and pi/4 rotation."""
+    amp = np.mean(np.abs(x_hat))
+    if amp > 0:
+        x_hat = x_hat * (np.mean(np.abs(ref)) / amp)
+    n = ref.shape[0]
+    ref_i, ref_q = modem.symbol_indices(c, ref)
+    best = None
+    for s in candidate_shifts_full(x_hat, ref, max_shift):
+        lo_hat, lo_ref = max(s, 0) + edge_trim, max(-s, 0) + edge_trim
+        length = n - abs(s) - 2 * edge_trim
+        if length <= 0:
+            continue
+        seg = x_hat[lo_hat: lo_hat + length]
+        ri, rq = ref_i[lo_ref: lo_ref + length], ref_q[lo_ref: lo_ref + length]
+        for conj in (False, True):
+            base = np.conj(seg) if conj else seg
+            for r in range(8):
+                i_idx, q_idx = modem.map_decide(base * _ROTATIONS[r], c,
+                                                sigma_sq)
+                ser = np.count_nonzero((i_idx != ri) | (q_idx != rq)) / length
+                if best is None or ser < best.ser:
+                    best = ev.Alignment(shift=s, rotation=r, conjugate=conj,
+                                        ser=ser, n_eval=length)
+    return best

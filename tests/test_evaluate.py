@@ -10,6 +10,8 @@ from blindeq import evaluate as ev
 from blindeq import modem
 from blindeq.errors import ConfigError
 
+from helpers import candidate_shifts_full, resolve_ambiguity_exhaustive
+
 
 def test_slice_frames():
     f = ev.slice_frames(np.arange(25), 10)
@@ -75,10 +77,82 @@ def test_resolve_ambiguity_never_worse_than_identity():
     c, ref, rng = _qpsk_frame(42)
     x = ref + 0.5 * (rng.standard_normal(len(ref))
                      + 1j * rng.standard_normal(len(ref)))
-    ident_err, n_eval = ev.ser_estimate(
-        x, *modem.symbol_indices(c, ref), c, 0.1)
+    amp = np.mean(np.abs(ref)) / np.mean(np.abs(x))
+    i_idx, q_idx = modem.map_decide(amp * x, c, 0.1)
+    ref_i, ref_q = modem.symbol_indices(c, ref)
+    ident_ser = np.count_nonzero((i_idx != ref_i) | (q_idx != ref_q)) / len(ref)
     align = ev.resolve_ambiguity(x, ref, c, 0.1)
-    assert align.ser <= ident_err / n_eval
+    assert align.ser <= ident_ser
+
+
+@pytest.mark.parametrize("n, max_shift", [(300, 50), (40, 50), (40, 39),
+                                          (1, 5), (2_000, 7)])
+def test_candidate_shifts_match_full_correlation(n, max_shift):
+    rng = np.random.default_rng(n + max_shift)
+    for _ in range(5):
+        ref = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = np.roll(ref, rng.integers(-10, 11)) * np.exp(1j * rng.uniform(0, 6))
+        x += rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert (ev._candidate_shifts(x, ref, max_shift)
+                == candidate_shifts_full(x, ref, max_shift))
+    # equal peaks at lags -d and d: the smaller lag wins
+    if n > 10:
+        d = min(3, max_shift)
+        ref, x = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        ref[n // 2], x[n // 2 - d], x[n // 2 + d] = 1.0, 1.0j, -1.0
+        assert ev._candidate_shifts(x, ref, max_shift) == [-d, 0] == \
+            candidate_shifts_full(x, ref, max_shift)
+    # an all-NaN frame gives -max_shift
+    nan = np.full(n, np.nan + 0j)
+    assert ev._candidate_shifts(nan, ref, max_shift) == candidate_shifts_full(
+        nan, ref, max_shift) == sorted({0, -min(max_shift, n - 1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 16, 64, 256]), st.sampled_from([0.0, 0.01, 0.05]),
+       st.integers(0, 7), st.booleans(), st.integers(-12, 12),
+       st.floats(0.005, 0.5), st.integers(0, 30), st.sampled_from([5, 50, 10_000]),
+       st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_resolve_ambiguity_matches_exhaustive_search(
+        m, nu, rot, conj, shift, noise, edge_trim, max_shift, zeros, nans, seed):
+    rng = np.random.default_rng(seed)
+    c = modem.build_constellation(m, nu)
+    n = int(rng.integers(100, 1_500))
+    ref = modem.sample_symbols(c, n, rng).samples
+    x = np.roll(ref * np.exp(1j * np.pi / 4 * rot), shift)
+    x = (np.conj(x) if conj else x) * rng.uniform(0.3, 3.0)
+    x += noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if zeros:   # e.g. a receiver's unfilled tail
+        x[rng.integers(0, n):][:rng.integers(1, 200)] = 0.0
+    if nans:    # e.g. a diverged receiver
+        x[rng.integers(0, n):][:rng.integers(1, 50)] = np.nan
+    s2 = noise ** 2 + 1e-3
+    assert ev.resolve_ambiguity(x, ref, c, s2, max_shift, edge_trim) == \
+        resolve_ambiguity_exhaustive(x, ref, c, s2, max_shift, edge_trim)
+
+
+def test_resolve_ambiguity_decides_four_times(monkeypatch):
+    c, ref, rng = _qpsk_frame(5)
+    x = np.roll(np.conj(ref), 3) + 0.3 * (rng.standard_normal(len(ref))
+                                         + 1j * rng.standard_normal(len(ref)))
+    assert len(ev._candidate_shifts(x, ref, 50)) == 3
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return modem.map_decide(*args)
+
+    monkeypatch.setattr(ev, "map_decide", counting)
+    ev.resolve_ambiguity(x, ref, c, 0.1)
+    assert len(calls) == 4
+
+
+def test_resolve_ambiguity_rejects_trim_past_the_frame():
+    c, ref, _ = _qpsk_frame(0, n=100)
+    assert ev.resolve_ambiguity(ref, ref, c, 0.1, edge_trim=49).n_eval == 2
+    for trim in (50, 80):
+        with pytest.raises(ConfigError, match="edge_trim"):
+            ev.resolve_ambiguity(ref, ref, c, 0.1, edge_trim=trim)
 
 
 def test_resolve_ambiguity_shape_check():
