@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("MMSE-genie runs on a single channel (awgn_isi)")
         if self.kind in ("VAE-LE", "VAE-NN", "VAEflex"):
             _update_schedule(self)  # 1 <= n_flex <= n_b, as the run needs
+            if self.n_ind * self.n_frame < self.batch_symbols:
+                raise ConfigError("the stream (n_ind * n_frame) is shorter than one batch")
 
     @property
     def n_pol(self) -> int:

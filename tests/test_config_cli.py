@@ -150,6 +150,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     {"kind": "MMSE-genie", "variant": "dp_optical"},
     {"sweep": {"taps": [11, 12]}},                     # only the 2nd point is bad
     {"sweep": {"kind": ["CMA", "MMSE-genie"]}, "variant": "dp_optical"},
+    {"kind": "VAE-LE", "batch_symbols": 3_001},        # more than the stream
+    {"kind": "VAE-NN", "sweep": {"batch_symbols": [300, 4_000]}},
+    {"kind": "VAE-LE", "n_frame": 100, "n_ind": 1, "ma_window": 1},
+    {"kind": "VAEflex", "batch_symbols": 3_100, "flex_symbols": 10},
 ])
 def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad):
     def no_run(*args):
