@@ -584,9 +584,13 @@ def vae_nn_step(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
     state.adam.step(schedule.lr if lr is None else lr)
     state.sigma_sq = bd.sigma_sq
     state.batch_count += 1
-    out = np.stack([(qp[0].value @ c.levels) + 1j * (qp[1].value @ c.levels)
-                    for qp in q_nodes])
-    return out[:, : schedule.n_flex], bd
+    return _soft_symbols(q_nodes, c)[:, : schedule.n_flex], bd
+
+
+def _soft_symbols(q_nodes, c: Constellation) -> np.ndarray:
+    """E_Q[x] per pol from the decoder's per-component posteriors."""
+    return np.stack([(qp[0].value @ c.levels) + 1j * (qp[1].value @ c.levels)
+                     for qp in q_nodes])
 
 
 # ---------------------------------------------------------------------------
@@ -630,11 +634,14 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
         out[:, t: t + schedule.n_flex] = emitted
         traj.append((t, bd.sigma_sq))
         t += schedule.n_flex
+    # tail shorter than a batch: the final weights, no update, with left context
     if t < n_sym and is_le:
-        # tail shorter than a batch: the final filters over the tail's
-        # windows of the whole stream, so it keeps its left context
         win = _windows(rx, state.f_eq, n_os)[t:n_sym]
         out[:, t:] = _filter_windows(state.eq_filter(), win)
+    elif t < n_sym:
+        lo = max(n_sym - schedule.n_b, 0)
+        q_nodes = vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state)
+        out[:, t:] = _soft_symbols(q_nodes, c)[:, t - lo:]
     corr = (_singularity_correlation(state.eq_filter())
             if is_le and state.n_pol == 2 else 0.0)
     return EqualizerResult(out=out, sigma_traj=np.array(traj),

@@ -307,6 +307,26 @@ def test_run_vae_covers_tail():
     assert np.allclose(res.out, ref, rtol=0, atol=1e-12)
 
 
+def test_run_vae_nn_covers_tail():
+    rng = np.random.default_rng(12)
+    c = modem.build_constellation(4, 0.0)
+    s = modem.sample_symbols(c, 400, rng)
+    tx = sigproc.upsample_zero_insert(s, 2)
+    rx = ch.add_awgn(tx.samples, ch.noise_sigma_sq(tx.samples, 2, 18.0), rng)
+    state = eq.VaeNnState(1, 2, 4, k1=5, k2=3, f_ch=7, rng=rng, hidden=4)
+    sched = eq.UpdateSchedule(n_b=350, n_flex=350, lr=1e-3)
+    res = eq.run_vae(rx[None, :], c, state, sched)
+    assert res.sigma_traj.shape == (1, 2)
+    assert np.count_nonzero(res.out == 0) == 0
+    # the 50-symbol tail is the decoder's E_Q[x] at the final weights over
+    # the stream's last 350 symbols
+    rxn = eq._unit_power(rx[None, :]) / np.sqrt(2)
+    q = eq.vae_nn_forward(rxn[:, 100:], state)
+    tail = np.stack([qp[0].value @ c.levels + 1j * (qp[1].value @ c.levels)
+                     for qp in q])
+    assert np.array_equal(res.out[:, 350:], tail[:, 300:])
+
+
 def test_vae_state_validation():
     with pytest.raises(ConfigError):
         eq.VaeLeState(1, 2, f_eq=10)
