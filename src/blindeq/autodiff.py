@@ -1,16 +1,16 @@
 """Minimal reverse-mode automatic differentiation over real numpy arrays.
 
-Complex quantities are carried by the callers as paired real/imaginary
-arrays, so every rule here is plain real-valued calculus.  Graphs are
-rebuilt per batch (define-by-run); gradients accumulate additively and the
-caller zeroes them between batches.
+It serves the VAE-NN decoder's CNN, whose graph is seeded with the
+closed-form gradient of the variational loss.  Graphs are rebuilt per batch
+(define-by-run); gradients accumulate additively and the caller zeroes them
+between batches.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 
 
 class Node:
@@ -106,43 +106,6 @@ def add(a: Node, b: Node) -> Node:
     return _wrap((a, b), a.value + b.value, bwd)
 
 
-def subtract(a: Node, b: Node) -> Node:
-    _check_elementwise(a, b)
-
-    def bwd(g):
-        _acc(a, _unbroadcast(g, a.shape))
-        _acc(b, -_unbroadcast(g, b.shape))
-
-    return _wrap((a, b), a.value - b.value, bwd)
-
-
-def multiply(a: Node, b: Node) -> Node:
-    _check_elementwise(a, b)
-
-    def bwd(g):
-        _acc(a, _unbroadcast(g * b.value, a.shape))
-        _acc(b, _unbroadcast(g * a.value, b.shape))
-
-    return _wrap((a, b), a.value * b.value, bwd)
-
-
-def square(a: Node) -> Node:
-    def bwd(g):
-        _acc(a, g * (2.0 * a.value))
-
-    return _wrap((a,), a.value ** 2, bwd)
-
-
-def natural_log(a: Node) -> Node:
-    if np.any(a.value <= 0.0):
-        raise NumericalError("natural_log requires strictly positive inputs")
-
-    def bwd(g):
-        _acc(a, g / a.value)
-
-    return _wrap((a,), np.log(a.value), bwd)
-
-
 def ssum(a: Node) -> Node:
     """Sum of all elements, as a 0-d node."""
 
@@ -160,16 +123,6 @@ def scale(a: Node, s) -> Node:
         _acc(a, _unbroadcast(g * s, a.shape))
 
     return _wrap((a,), a.value * s, bwd)
-
-
-def shift(a: Node, c) -> Node:
-    """Add a constant scalar or array."""
-    c = np.asarray(c, dtype=np.float64)
-
-    def bwd(g):
-        _acc(a, _unbroadcast(g, a.shape))
-
-    return _wrap((a,), a.value + c, bwd)
 
 
 def elu(a: Node) -> Node:
@@ -230,40 +183,6 @@ def conv1d_full(signal: Node, kernel: Node, stride: int = 1, padding: int = 0) -
             _acc(kernel, np.correlate(s_pad, g_full, mode="valid")[::-1])
 
     return _wrap((signal, kernel), out_val, bwd)
-
-
-def zero_insert(a: Node, factor: int) -> Node:
-    """Insert (factor-1) zeros between consecutive samples."""
-    if factor < 1:
-        raise ConfigError(f"factor must be >= 1, got {factor}")
-    n = a.value.shape[0]
-    out_val = np.zeros(n * factor)
-    out_val[::factor] = a.value
-
-    def bwd(g):
-        _acc(a, g[::factor])
-
-    return _wrap((a,), out_val, bwd)
-
-
-def outer_diff(x: Node, levels) -> Node:
-    """x[:, None] - levels[None, :] against a constant level vector."""
-    levels = np.asarray(levels, dtype=np.float64)
-
-    def bwd(g):
-        _acc(x, g.sum(axis=1))
-
-    return _wrap((x,), x.value[:, None] - levels[None, :], bwd)
-
-
-def rows_dot(m: Node, v) -> Node:
-    """Row-wise dot product of an N x K node with a constant K-vector."""
-    v = np.asarray(v, dtype=np.float64)
-
-    def bwd(g):
-        _acc(m, g[:, None] * v[None, :])
-
-    return _wrap((m,), m.value @ v, bwd)
 
 
 def stack_cols(cols) -> Node:

@@ -93,6 +93,7 @@ class ExperimentConfig:
             raise ConfigError(f"ch_taps must be odd, got {self.ch_taps}")
         if self.kind == "MMSE-genie" and self.variant != "awgn_isi":
             raise ConfigError("MMSE-genie runs on a single channel (awgn_isi)")
+        self.effective_nu()  # the entropy range
         if self.kind in ("VAE-LE", "VAE-NN", "VAEflex"):
             _update_schedule(self)  # 1 <= n_flex <= n_b, as the run needs
             if self.n_ind * self.n_frame < self.batch_symbols:

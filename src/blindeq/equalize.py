@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DivergenceError
-from .modem import Constellation
+from .modem import Constellation, soft_demap
 from .sigproc import convolve_same
 
 # ---------------------------------------------------------------------------
@@ -58,21 +58,25 @@ def butterfly_apply(rx: np.ndarray, filt: ButterflyFilter, stride: int = 1) -> n
     pol = rx.shape[0]
     if pol != filt.n_pol:
         raise ConfigError(f"input has {pol} polarizations, filter {filt.n_pol}")
-    return _filter_windows(filt, _windows(rx, filt.n_taps, stride))
+    return _filter_windows(filt.taps, _windows(rx, filt.n_taps, stride))
 
 
-def _filter_windows(filt: ButterflyFilter, win: np.ndarray) -> np.ndarray:
-    """Convolve a block of (n, pol, F) windows with the filter; (pol, n)."""
+def _filter_windows(taps: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """Convolve a block of (n, pol, F) windows with (pol, pol, F) taps;
+    returns (pol, n)."""
     # the windows, like the CMA taps, are correlation-oriented; the VAE
     # (ButterflyFilter) taps are convolution-oriented, hence the flip
-    taps = filt.taps[:, :, ::-1].reshape(filt.n_pol, -1)
-    return _taps_dot(taps, win.reshape(win.shape[0], -1)).T
+    flipped = taps[:, :, ::-1].reshape(taps.shape[0], -1)
+    return _taps_dot(flipped, win.reshape(win.shape[0], -1)).T
 
 
 def _windows(rx: np.ndarray, n_taps: int, stride: int) -> np.ndarray:
     """Sliding, symbol-strided windows (n_sym, pol, F), centered; a view."""
     mh = n_taps // 2
-    pad = np.pad(rx, ((0, 0), (mh, mh)))
+    # zeros and a slice assignment: np.pad costs more than the rest of this
+    # for the short blocks of a VAE update
+    pad = np.zeros((rx.shape[0], rx.shape[1] + 2 * mh), dtype=rx.dtype)
+    pad[:, mh: mh + rx.shape[1]] = rx
     view = np.lib.stride_tricks.sliding_window_view(pad, n_taps, axis=1)
     return view[:, ::stride].transpose(1, 0, 2)
 
@@ -241,29 +245,35 @@ def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int = 20,
 
 
 class Adam:
-    """Standard Adam with bias correction over a list of leaf nodes."""
+    """Standard Adam with bias correction over a list of float arrays.
+
+    The arrays are updated in place.  Complex taps enter as their
+    ``.view(np.float64)``, so each real and imaginary part is a parameter of
+    its own.
+    """
 
     def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         self.params = list(params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
 
-    def step(self, lr: float) -> None:
+    def step(self, grads, lr: float) -> None:
+        """One update from ``grads``, one array per parameter."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
             m += (1.0 - self.beta1) * (g - m)
             v += (1.0 - self.beta2) * (g * g - v)
-            p.value -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+
+def _real_view(z: np.ndarray) -> np.ndarray:
+    """A complex array as interleaved (re, im) floats, the layout Adam steps."""
+    return np.ascontiguousarray(z).view(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -281,102 +291,75 @@ class LossBreakdown:
     n_eff: int                       # samples per polarization entering C
 
 
-def _cconv(sig_re: ad.Node, sig_im: ad.Node, ker_re: ad.Node, ker_im: ad.Node,
-           stride: int, padding: int):
-    re = ad.subtract(ad.conv1d_full(sig_re, ker_re, stride, padding),
-                     ad.conv1d_full(sig_im, ker_im, stride, padding))
-    im = ad.add(ad.conv1d_full(sig_re, ker_im, stride, padding),
-                ad.conv1d_full(sig_im, ker_re, stride, padding))
-    return re, im
+def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
+             n_os: int, edge_trim: int = 0):
+    """Reduced negative ELBO for one batch, with its gradients in closed form.
 
-
-def vae_loss(rx: np.ndarray, q_nodes, ch_nodes, c: Constellation, n_os: int,
-             edge_trim: int = 0):
-    """Reduced negative-ELBO for one batch, differentiable.
-
-    rx: (pol, N) complex samples (constants).
-    q_nodes: [pol][component] nodes of shape (n_sym, sqrt(M)), rows on the
-        simplex, where n_sym * n_os == N.
-    ch_nodes: [p][q] -> (re, im) tap nodes of the channel-model bank.
+    rx: (pol, N) complex samples, N = n_sym * n_os.
+    q: (pol, 2, n_sym, sqrt(M)) per-component posteriors, axis 1 (I, Q),
+        rows on the simplex.
+    h: (pol, pol, F) complex channel-model taps, convolution-oriented.
     edge_trim: samples excluded at each end of the distortion/KL windows
         (the model cannot explain them without symbols outside the batch).
 
-    Returns (total_node, LossBreakdown).
+    The loss is sum_p (A_p + N ln C_p): A_p is the KL divergence of q_p from
+    the prior, and C_p = sum_n |y_p - (h * E[x])_p|^2 + (|h|^2 * Var[x])_p
+    over the kept samples n.  Returns (LossBreakdown, dL/dq, dL/dh); the
+    complex gradient is dL/dRe h + j dL/dIm h.
     """
-    rx = np.atleast_2d(rx)
     pol, n = rx.shape
-    f_ch = ch_nodes[0][0][0].value.shape[0]
-    mh = f_ch // 2
+    f = h.shape[2]
     mask = np.ones(n)
     if edge_trim:
         mask[:edge_trim] = 0.0
         mask[n - edge_trim:] = 0.0
-    sym_mask = mask[::n_os]
     n_eff = int(mask.sum())
-    levels, levels_sq = c.levels, c.levels ** 2
-    log_prior = np.log(c.prior)
+    sym_mask = mask[::n_os, None]
 
-    # per-source-pol expectation vectors on the sample grid
-    ex, var_sum, a_terms = [], [], []
-    for qp in q_nodes:
-        comps, second = [], []
-        for q_comp in qp:
-            e = ad.zero_insert(ad.rows_dot(q_comp, levels), n_os)
-            e2 = ad.zero_insert(ad.rows_dot(q_comp, levels_sq), n_os)
-            comps.append(e)
-            second.append(e2)
-        ex.append(comps)
-        var_sum.append(ad.subtract(ad.add(second[0], second[1]),
-                                   ad.add(ad.square(comps[0]), ad.square(comps[1]))))
-        # KL of the factorized posterior against the Maxwell-Boltzmann prior
-        kl = None
-        for q_comp in qp:
-            lg = ad.shift(ad.natural_log(ad.shift(q_comp, 1e-30)), -log_prior)
-            term = ad.ssum(ad.scale(ad.multiply(q_comp, lg), sym_mask[:, None]))
-            kl = term if kl is None else ad.add(kl, term)
-        a_terms.append(kl)
+    # KL of the factorized posterior against the Maxwell-Boltzmann prior
+    log_ratio = np.log(q + 1e-30) - np.log(c.prior)
+    a_kl = (q * log_ratio * sym_mask).sum(axis=(1, 2, 3))
+    g_q = (log_ratio + q / (q + 1e-30)) * sym_mask
 
-    total = None
-    c_vals = []
-    for p in range(pol):
-        d_re = d_im = e_term = None
-        for q in range(pol):
-            hre, him = ch_nodes[p][q]
-            dr, di = _cconv(ex[q][0], ex[q][1], hre, him, 1, mh)
-            d_re = dr if d_re is None else ad.add(d_re, dr)
-            d_im = di if d_im is None else ad.add(d_im, di)
-            habs2 = ad.add(ad.square(hre), ad.square(him))
-            ev = ad.ssum(ad.scale(ad.conv1d_full(var_sum[q], habs2, 1, mh), mask))
-            e_term = ev if e_term is None else ad.add(e_term, ev)
-        y_energy = float(((rx[p].real ** 2 + rx[p].imag ** 2) * mask).sum())
-        cross = ad.add(ad.ssum(ad.scale(d_re, rx[p].real * mask)),
-                       ad.ssum(ad.scale(d_im, rx[p].imag * mask)))
-        d_energy = ad.ssum(ad.scale(ad.add(ad.square(d_re), ad.square(d_im)), mask))
-        c_p = ad.shift(ad.add(ad.add(ad.scale(cross, -2.0), d_energy), e_term), y_energy)
-        if c_p.value <= 0.0:
-            # numerically impossible (sum of squares plus nonnegative variance)
-            c_p = ad.shift(ad.scale(c_p, 0.0), 1e-30)
-        c_vals.append(float(c_p.value))
-        piece = ad.add(a_terms[p], ad.scale(ad.natural_log(c_p), float(n_eff)))
-        total = piece if total is None else ad.add(total, piece)
+    # E[x] on the sample grid (zeros between symbols) and Var[x] per symbol
+    ex = q @ c.levels                                     # (pol, 2, n_sym)
+    var = (q @ c.levels ** 2 - ex ** 2).sum(axis=1)       # (pol, n_sym)
+    mean = ex[:, 0] + 1j * ex[:, 1]
+    up = np.zeros((pol, n), dtype=np.complex128)
+    up[:, ::n_os] = mean
+    resid = mask * (_filter_windows(h, _windows(up, f, 1)) - rx)
+    # mwin[k, t] = mask[k n_os - F//2 + t]: the kept samples that symbol k's
+    # variance reaches through tap F-1-t
+    mwin = _windows(mask[None], f, n_os)[:, 0]            # (n_sym, F)
+    spread = var @ mwin                                   # (pol, F)
+    h_sq = np.abs(h) ** 2
+    c_vals = (np.abs(resid) ** 2).sum(axis=1) + (h_sq * spread).sum(axis=(1, 2))
+    # numerically impossible (sum of squares plus nonnegative variance), but
+    # keep ln C finite with no gradient through it
+    dead = c_vals <= 0.0
+    c_vals[dead] = 1e-30
+    w = np.where(dead, 0.0, n_eff / c_vals)               # dL/dC_p
+    total = float((a_kl + n_eff * np.log(c_vals)).sum())
 
-    sigma_sq = sum(c_vals) / (pol * n_eff)
-    bd = LossBreakdown(a_kl=float(sum(t.value for t in a_terms)),
-                       c_dist=tuple(c_vals), sigma_sq=sigma_sq,
-                       total=float(total.value), n_eff=n_eff)
-    return total, bd
+    # distortion: dL/d(h * E[x])_p = 2 w_p resid_p, correlated with the taps
+    # for E[x] and with E[x] for the taps, on the symbol grid
+    rwin = _windows(2.0 * w[:, None] * resid, f, n_os)    # (n_sym, pol, F)
+    rflat = rwin.reshape(rwin.shape[0], -1)
+    g_mean = _taps_dot(np.conj(h).transpose(1, 0, 2).reshape(pol, -1), rflat).T
+    g_h = (np.conj(mean) @ rflat).reshape(pol, pol, f).transpose(1, 0, 2)
+    # variance term
+    g_h += 2.0 * w[:, None, None] * h * spread[None]
+    g_var = _taps_dot((w @ h_sq.reshape(pol, -1)).reshape(pol, f), mwin).T
+    # chain E[x] and Var[x] = E[x^2] - E[x]^2 per component back to q
+    g_ex = np.stack([g_mean.real, g_mean.imag], axis=1) - 2.0 * ex * g_var[:, None]
+    g_q += (g_ex[..., None] * c.levels
+            + g_var[:, None, :, None] * c.levels ** 2)
 
-
-def soft_demap_node(x_re: ad.Node, x_im: ad.Node, c: Constellation,
-                    sigma_sq: float, matched: bool = True):
-    """Differentiable per-component soft demapper (sigma_sq held constant)."""
-    out = []
-    corr = c.nu_scaled * c.levels ** 2 if matched else np.zeros_like(c.levels)
-    for comp in (x_re, x_im):
-        diff = ad.outer_diff(comp, c.levels)
-        logits = ad.shift(ad.scale(ad.square(diff), -1.0 / (2.0 * sigma_sq)), -corr)
-        out.append(ad.softmax_rows(logits))
-    return out
+    bd = LossBreakdown(a_kl=float(a_kl.sum()),
+                       c_dist=tuple(float(v) for v in c_vals),
+                       sigma_sq=float(c_vals.sum()) / (pol * n_eff),
+                       total=total, n_eff=n_eff)
+    return bd, g_q, g_h
 
 
 # ---------------------------------------------------------------------------
@@ -395,34 +378,6 @@ class UpdateSchedule:
             raise ConfigError(f"need 1 <= n_flex <= n_b, got {self.n_flex}, {self.n_b}")
 
 
-def _filter_leaves(n_pol: int, n_taps: int, dirac: bool = True):
-    """[p][q] -> (re, im) leaf nodes, Dirac-initialized on the diagonal."""
-    bank = []
-    for p in range(n_pol):
-        row = []
-        for q in range(n_pol):
-            re = np.zeros(n_taps)
-            if dirac and p == q:
-                re[n_taps // 2] = 1.0
-            row.append((ad.leaf(re), ad.leaf(np.zeros(n_taps))))
-        bank.append(row)
-    return bank
-
-
-def _bank_params(bank):
-    return [node for row in bank for pair in row for node in pair]
-
-
-def _bank_taps(bank) -> np.ndarray:
-    pol = len(bank)
-    f = bank[0][0][0].value.shape[0]
-    taps = np.empty((pol, pol, f), dtype=np.complex128)
-    for p in range(pol):
-        for q in range(pol):
-            taps[p, q] = bank[p][q][0].value + 1j * bank[p][q][1].value
-    return taps
-
-
 class VaeLeState:
     """Butterfly equalizer and channel model trained by variational inference."""
 
@@ -436,61 +391,53 @@ class VaeLeState:
         self.n_pol, self.n_os = n_pol, n_os
         self.f_eq, self.f_ch = f_eq, f_ch
         self.matched_demapper = matched_demapper
-        self.eq = _filter_leaves(n_pol, f_eq)
-        self.ch = _filter_leaves(n_pol, f_ch)
-        self.params = _bank_params(self.eq) + _bank_params(self.ch)
-        self.adam = Adam(self.params)
+        self.eq = ButterflyFilter.dirac(n_pol, f_eq)
+        self.ch = ButterflyFilter.dirac(n_pol, f_ch)
+        self.adam = Adam([self.eq.taps.view(np.float64), self.ch.taps.view(np.float64)])
         self.sigma_sq = 1.0          # unit signal energy before the first batch
         self.batch_count = 0
 
-    def eq_filter(self) -> ButterflyFilter:
-        return ButterflyFilter(_bank_taps(self.eq))
 
-    def ch_filter(self) -> ButterflyFilter:
-        return ButterflyFilter(_bank_taps(self.ch))
+def vae_le_grads(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
+                 c: Constellation):
+    """The batch loss of the linear decoder and its gradients.
+
+    ``win`` holds the batch's equalizer windows, (n_b, pol, f_eq), and
+    ``rx_batch`` its samples, (pol, n_b * n_os).  Returns (equalized symbols
+    (pol, n_b), LossBreakdown, dL/d equalizer taps, dL/d channel taps).
+    """
+    x_hat = _filter_windows(state.eq.taps, win)
+    pol, n_sym = x_hat.shape
+    # the demapper sees per-component noise: half of the complex variance
+    s2 = 0.5 * state.sigma_sq
+    q = soft_demap(x_hat.ravel(), c, s2, state.matched_demapper)
+    q = q.reshape(pol, n_sym, 2, -1).transpose(0, 2, 1, 3)
+    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch.taps, c, state.n_os,
+                             edge_trim=state.f_ch // 2)
+    # back through the softmax and its logits -(x - a)^2 / (2 s2)
+    g_logit = q * (g_q - (q * g_q).sum(axis=-1, keepdims=True))
+    comps = np.stack([x_hat.real, x_hat.imag], axis=1)
+    g_comp = (g_logit * (c.levels - comps[..., None])).sum(axis=-1) / s2
+    gx = g_comp[:, 0] + 1j * g_comp[:, 1]
+    # and through x_hat = flipped taps x windows
+    g_eq = (gx @ np.conj(win.reshape(n_sym, -1))).reshape(state.eq.taps.shape)
+    return x_hat, bd, g_eq[:, :, ::-1], g_ch
 
 
-def _butterfly_forward(state, rx_ctx: np.ndarray):
-    """Strided equalizer convolution over a batch with mh context per side."""
-    sig = [(ad.constant(rx_ctx[p].real), ad.constant(rx_ctx[p].imag))
-           for p in range(state.n_pol)]
-    outs = []
-    for p in range(state.n_pol):
-        re = im = None
-        for q in range(state.n_pol):
-            r, i = _cconv(sig[q][0], sig[q][1], state.eq[p][q][0], state.eq[p][q][1],
-                          state.n_os, 0)
-            re = r if re is None else ad.add(re, r)
-            im = i if im is None else ad.add(im, i)
-        outs.append((re, im))
-    return outs
-
-
-def vae_le_step(state: VaeLeState, rx_ctx: np.ndarray, c: Constellation,
-                schedule: UpdateSchedule, lr: float | None = None):
+def vae_le_step(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
+                c: Constellation, schedule: UpdateSchedule, lr: float | None = None):
     """One mini-batch update; returns (first n_flex symbols per pol, breakdown).
 
-    ``rx_ctx`` is (pol, n_b * n_os + 2 * (f_eq // 2)): the batch samples plus
-    equalizer context on both sides, so every emitted symbol sees its full
-    window.
+    ``win`` and ``rx_batch`` are as for ``vae_le_grads``.
     """
-    mh = state.f_eq // 2
-    rx_batch = rx_ctx[:, mh: rx_ctx.shape[1] - mh]
-    state.adam.zero_grad()
-    x_hat = _butterfly_forward(state, rx_ctx)
-    # the demapper sees per-component noise: half of the complex variance
-    q_nodes = [soft_demap_node(xr, xi, c, 0.5 * state.sigma_sq, state.matched_demapper)
-               for xr, xi in x_hat]
-    total, bd = vae_loss(rx_batch, q_nodes, state.ch, c, state.n_os,
-                         edge_trim=state.f_ch // 2)
+    x_hat, bd, g_eq, g_ch = vae_le_grads(state, win, rx_batch, c)
     if not np.isfinite(bd.total):
         raise DivergenceError(state.batch_count)
-    ad.backward(total)
-    state.adam.step(schedule.lr if lr is None else lr)
+    state.adam.step([_real_view(g_eq), _real_view(g_ch)],
+                    schedule.lr if lr is None else lr)
     state.sigma_sq = bd.sigma_sq
     state.batch_count += 1
-    out = np.stack([xr.value + 1j * xi.value for xr, xi in x_hat])
-    return out[:, : schedule.n_flex], bd
+    return x_hat[:, : schedule.n_flex], bd
 
 
 # ---------------------------------------------------------------------------
@@ -525,17 +472,13 @@ class VaeNnState:
         self.w2 = [[ad.leaf(s2 * rng.standard_normal(k2)) for _ in range(self.hidden)]
                    for _ in range(n_out)]
         self.b2 = [ad.leaf(np.zeros(1)) for _ in range(n_out)]
-        self.ch = _filter_leaves(n_pol, f_ch)
-        self.params = ([w for row in self.w1 for w in row] + self.b1
-                       + [w for row in self.w2 for w in row] + self.b2
-                       + _bank_params(self.ch))
-        self.adam = Adam(self.params)
+        self.ch = ButterflyFilter.dirac(n_pol, f_ch)
+        self.leaves = ([w for row in self.w1 for w in row] + self.b1
+                       + [w for row in self.w2 for w in row] + self.b2)
+        self.adam = Adam([p.value for p in self.leaves] + [self.ch.taps.view(np.float64)])
         self.sigma_sq = 1.0
         self.batch_count = 0
         self.f_ch = f_ch
-
-    def ch_filter(self) -> ButterflyFilter:
-        return ButterflyFilter(_bank_taps(self.ch))
 
 
 def vae_nn_forward(rx: np.ndarray, state: VaeNnState):
@@ -571,26 +514,51 @@ def vae_nn_forward(rx: np.ndarray, state: VaeNnState):
     return q_nodes
 
 
+def _posteriors(q_nodes) -> np.ndarray:
+    """The decoder's [pol][component] q nodes as one (pol, 2, n_sym, sqrt(M))
+    array."""
+    return np.stack([[node.value for node in qp] for qp in q_nodes])
+
+
+def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation):
+    """The batch loss of the CNN decoder and its gradients.
+
+    The decoder's leaves receive their gradients through its graph, seeded
+    with the closed-form dL/dq.  Returns (q, LossBreakdown, dL/d channel
+    taps).
+    """
+    for p in state.leaves:
+        p.zero_grad()
+    q_nodes = vae_nn_forward(rx_batch, state)
+    q = _posteriors(q_nodes)
+    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch.taps, c, state.n_os,
+                             edge_trim=state.f_ch // 2)
+    seed = None
+    for qp, gp in zip(q_nodes, g_q):
+        for node, g in zip(qp, gp):
+            term = ad.ssum(ad.scale(node, g))
+            seed = term if seed is None else ad.add(seed, term)
+    ad.backward(seed)
+    return q, bd, g_ch
+
+
 def vae_nn_step(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
                 schedule: UpdateSchedule, lr: float | None = None):
     """One CNN-decoder mini-batch; emits soft symbols E_Q[x] per pol."""
-    state.adam.zero_grad()
-    q_nodes = vae_nn_forward(rx_batch, state)
-    total, bd = vae_loss(rx_batch, q_nodes, state.ch, c, state.n_os,
-                         edge_trim=state.f_ch // 2)
+    q, bd, g_ch = vae_nn_grads(state, rx_batch, c)
     if not np.isfinite(bd.total):
         raise DivergenceError(state.batch_count)
-    ad.backward(total)
-    state.adam.step(schedule.lr if lr is None else lr)
+    state.adam.step([p.grad for p in state.leaves] + [_real_view(g_ch)],
+                    schedule.lr if lr is None else lr)
     state.sigma_sq = bd.sigma_sq
     state.batch_count += 1
-    return _soft_symbols(q_nodes, c)[:, : schedule.n_flex], bd
+    return _soft_symbols(q, c)[:, : schedule.n_flex], bd
 
 
-def _soft_symbols(q_nodes, c: Constellation) -> np.ndarray:
-    """E_Q[x] per pol from the decoder's per-component posteriors."""
-    return np.stack([(qp[0].value @ c.levels) + 1j * (qp[1].value @ c.levels)
-                     for qp in q_nodes])
+def _soft_symbols(q: np.ndarray, c: Constellation) -> np.ndarray:
+    """E_Q[x] per pol from the (pol, 2, n_sym, sqrt(M)) posteriors."""
+    ex = q @ c.levels
+    return ex[:, 0] + 1j * ex[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -618,32 +586,30 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
     n_sym = rx.shape[1] // n_os
     out = np.zeros((state.n_pol, n_sym), dtype=np.complex128)
     is_le = isinstance(state, VaeLeState)
-    mh = state.f_eq // 2 if is_le else 0
-    pad = np.pad(rx, ((0, 0), (mh, mh)))
+    if is_le:
+        win = _windows(rx, state.f_eq, n_os)
     traj = []
     t = 0
     while t + schedule.n_b <= n_sym:
-        lo = t * n_os
-        seg = pad[:, lo: lo + schedule.n_b * n_os + 2 * mh]
+        batch = rx[:, t * n_os: (t + schedule.n_b) * n_os]
         lr = (lr_schedule(t // n_frame, schedule.lr) if schedule.scheduler
               else schedule.lr)
         if is_le:
-            emitted, bd = vae_le_step(state, seg, c, schedule, lr=lr)
+            emitted, bd = vae_le_step(state, win[t: t + schedule.n_b], batch, c,
+                                      schedule, lr=lr)
         else:
-            emitted, bd = vae_nn_step(state, seg, c, schedule, lr=lr)
+            emitted, bd = vae_nn_step(state, batch, c, schedule, lr=lr)
         out[:, t: t + schedule.n_flex] = emitted
         traj.append((t, bd.sigma_sq))
         t += schedule.n_flex
     # tail shorter than a batch: the final weights, no update, with left context
     if t < n_sym and is_le:
-        win = _windows(rx, state.f_eq, n_os)[t:n_sym]
-        out[:, t:] = _filter_windows(state.eq_filter(), win)
+        out[:, t:] = _filter_windows(state.eq.taps, win[t:n_sym])
     elif t < n_sym:
         lo = max(n_sym - schedule.n_b, 0)
-        q_nodes = vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state)
-        out[:, t:] = _soft_symbols(q_nodes, c)[:, t - lo:]
-    corr = (_singularity_correlation(state.eq_filter())
+        q = _posteriors(vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state))
+        out[:, t:] = _soft_symbols(q, c)[:, t - lo:]
+    corr = (_singularity_correlation(state.eq)
             if is_le and state.n_pol == 2 else 0.0)
     return EqualizerResult(out=out, sigma_traj=np.array(traj),
-                           ch_filter=state.ch_filter(),
-                           singularity_corr=corr)
+                           ch_filter=state.ch, singularity_corr=corr)

@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Invalid configuration: bad shapes, out-of-range parameters, unknown keys."""
 
 
-class NumericalError(ArithmeticError):
-    """A numerically impossible value was encountered (e.g. log of a nonpositive term)."""
-
-
 class DivergenceError(RuntimeError):
     """An adaptive equalizer produced a non-finite loss."""
 

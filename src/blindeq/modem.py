@@ -94,9 +94,15 @@ def sample_symbols(c: Constellation, n: int, rng: np.random.Generator) -> Comple
 
 def symbol_indices(c: Constellation, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact level indices of noiseless constellation points (genie reference)."""
-    i_idx = np.argmin(np.abs(x.real[:, None] - c.levels[None, :]), axis=1)
-    q_idx = np.argmin(np.abs(x.imag[:, None] - c.levels[None, :]), axis=1)
-    return i_idx, q_idx
+    return _nearest_level(x.real, c.levels), _nearest_level(x.imag, c.levels)
+
+
+def _nearest_level(v: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    # the nearest level is one of the two around v; comparing their rounded
+    # distances, ties to the lower, gives what an argmin over all levels gives
+    # (deciding by the rounded midpoints would not, at a midpoint)
+    lo = np.clip(np.searchsorted(levels, v, side="right") - 1, 0, levels.shape[0] - 2)
+    return lo + (np.abs(v - levels[lo + 1]) < np.abs(v - levels[lo]))
 
 
 def decision_boundaries(c: Constellation, sigma_sq: float) -> np.ndarray:
@@ -125,13 +131,14 @@ def map_decide(x_hat: np.ndarray, c: Constellation, sigma_sq: float) -> tuple[np
 
 
 def _decide_component(v: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    # side="left" on the negative half and "right" on the positive half keeps
-    # exact boundary hits on the inner level
+    # side="left" on the positive half and one level up on an exact boundary
+    # hit in the negative half keep hits on the inner level; +-0 hits the
+    # middle boundary and decides positive, NaN sorts last (the top level)
     k = boundaries.shape[0]
     left = np.searchsorted(boundaries, v, side="left")
-    right = np.searchsorted(boundaries, v, side="right")
     inner = (k + 1) // 2  # first index of the non-negative levels
-    return np.where(left >= inner, left, right)
+    hit = boundaries[np.minimum(left, k - 1)] == v
+    return left + ((left < inner) & hit)
 
 
 def soft_demap(x_hat: np.ndarray, c: Constellation, sigma_sq: float,

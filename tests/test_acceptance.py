@@ -11,15 +11,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blindeq import autodiff as ad
 from blindeq import channel as ch
 from blindeq import config
 from blindeq import equalize as eq
 from blindeq import evaluate as ev
 from blindeq import modem, sigproc
 from blindeq.config import ExperimentConfig
-from helpers import max_gradient_error, primitive_cases, tiny_le_instance, \
-    tiny_nn_instance
+from helpers import LOSS_INSTANCES, max_gradient_error, primitive_cases
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -109,18 +107,17 @@ def test_criterion_01_gradients():
     worst_prim = 0.0
     for seed in range(n_seeds):
         rng = np.random.default_rng(seed)
-        for name, params, build in primitive_cases(rng):
-            err = max_gradient_error(build, params)
+        for name, instance in primitive_cases(rng):
+            err = max_gradient_error(instance)
             worst_prim = max(worst_prim, err)
             assert err < 1e-5, f"{name} seed {seed}: {err:.3e}"
     worst_full = 0.0
     for seed in range(n_seeds):
         rng = np.random.default_rng(10_000 + seed)
-        for make in (tiny_le_instance, tiny_nn_instance):
-            params, build = make(rng)
-            err = max_gradient_error(build, params)
+        for name, make in LOSS_INSTANCES:
+            err = max_gradient_error(make(rng))
             worst_full = max(worst_full, err)
-            assert err < 1e-4, f"{make.__name__} seed {seed}: {err:.3e}"
+            assert err < 1e-4, f"{name} seed {seed}: {err:.3e}"
     ok = worst_prim < 1e-5 and worst_full < 1e-4
     _report(1, ok, f"{n_seeds} seeds; worst primitive rel err "
                    f"{worst_prim:.2e} (<1e-5), worst full-loss rel err "
@@ -150,9 +147,8 @@ def _bruteforce_setup():
 
 
 def _loss_breakdown(y, h, q_re, q_im, c):
-    q_nodes = [[ad.constant(q_re), ad.constant(q_im)]]
-    ch_nodes = [[(ad.leaf(h.real), ad.leaf(h.imag))]]
-    _, bd = eq.vae_loss(y[None, :], q_nodes, ch_nodes, c, n_os=1)
+    bd, _, _ = eq.vae_loss(y[None, :], np.stack([q_re, q_im])[None],
+                           h[None, None], c, n_os=1)
     return bd
 
 

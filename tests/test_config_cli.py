@@ -154,6 +154,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     {"kind": "VAE-NN", "sweep": {"batch_symbols": [300, 4_000]}},
     {"kind": "VAE-LE", "n_frame": 100, "n_ind": 1, "ma_window": 1},
     {"kind": "VAEflex", "batch_symbols": 3_100, "flex_symbols": 10},
+    {"entropy": 4.5},                                  # more than log2(16)
+    {"entropy": 2.0},
+    {"sweep": {"entropy": [3.5, 4.5]}},                # only the 2nd point is bad
 ])
 def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad):
     def no_run(*args):

@@ -89,6 +89,45 @@ def test_boundary_tie_goes_inner():
     assert idx[1] in (1, 2)
 
 
+def _decide_two_pass(v, b):
+    """The two-searchsorted decision rule: side="left" on the positive half,
+    side="right" on the negative half."""
+    left = np.searchsorted(b, v, side="left")
+    right = np.searchsorted(b, v, side="right")
+    return np.where(left >= (b.shape[0] + 1) // 2, left, right)
+
+
+@pytest.mark.parametrize("m", [4, 16, 64, 256])
+def test_decide_component_matches_two_pass_rule(m):
+    rng = np.random.default_rng(m)
+    for nu in (0.0, 0.05):
+        b = modem.decision_boundaries(modem.build_constellation(m, nu), 0.03)
+        v = np.concatenate([b, -b, np.nextafter(b, np.inf), np.nextafter(b, -np.inf),
+                            [0.0, -0.0, np.inf, -np.inf, np.nan],
+                            1.5 * rng.standard_normal(2_000)])
+        idx = modem._decide_component(v, b)
+        assert np.array_equal(idx, _decide_two_pass(v, b))
+        # +-0 decides positive, NaN to the top level
+        assert np.all(idx[-2_005:-2_003] == (b.shape[0] + 1) // 2)
+        assert idx[-2_001] == b.shape[0]
+
+
+@pytest.mark.parametrize("m", [4, 16, 64, 256])
+def test_symbol_indices_match_argmin(m):
+    rng = np.random.default_rng(m)
+    for nu in (0.0, 0.01, 0.08):
+        c = modem.build_constellation(m, nu)
+        mids = 0.5 * (c.levels[:-1] + c.levels[1:])
+        # noiseless symbols, and exact midpoints, where the argmin's rounded
+        # distances break the tie
+        x = np.concatenate([modem.sample_symbols(c, 2_000, rng).samples,
+                            mids + 1j * mids[::-1], -mids - 1j * mids])
+        ref = tuple(np.argmin(np.abs(comp[:, None] - c.levels[None, :]), axis=1)
+                    for comp in (x.real, x.imag))
+        i_idx, q_idx = modem.symbol_indices(c, x)
+        assert np.array_equal(i_idx, ref[0]) and np.array_equal(q_idx, ref[1])
+
+
 def test_soft_demap_is_bayes_posterior():
     rng = np.random.default_rng(4)
     c = modem.build_constellation(64, 0.04)
