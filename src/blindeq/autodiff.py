@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over real numpy arrays.
 
-It serves the VAE-NN decoder's CNN, whose graph is seeded with the
-closed-form gradient of the variational loss.  Graphs are rebuilt per batch
-(define-by-run); gradients accumulate additively and the caller zeroes them
-between batches.
+It serves the VAE-NN decoder's CNN: one node per layer operation, with the
+graph seeded by the closed-form gradient of the variational loss.  Graphs
+are rebuilt per batch (define-by-run); gradients accumulate additively and
+the caller zeroes them between batches.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
+
+_sliding_windows = np.lib.stride_tricks.sliding_window_view
 
 
 class Node:
@@ -59,14 +61,16 @@ def _acc(parent: Node, g):
         parent.grad += g
 
 
-def backward(root: Node, seed: float = 1.0) -> None:
-    """Accumulate gradients of a scalar root into every reachable leaf."""
-    if root.value.size != 1:
-        raise ConfigError(f"backward root must be scalar, got shape {root.value.shape}")
+def backward(root: Node, grad) -> None:
+    """Accumulate into every reachable leaf the gradient of sum(grad * root),
+    i.e. back-propagate the seed ``grad``, an array of the root's shape."""
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != root.shape:
+        raise ConfigError(f"seed shape {grad.shape} does not match root shape {root.shape}")
     if not root.requires_grad:
         return
     order = _topo_order(root)
-    root.grad += np.asarray(seed, dtype=np.float64).reshape(root.value.shape)
+    root.grad += grad
     for node in order:  # already reverse-topological (root first)
         if node._backward is not None:
             node._backward(node.grad)
@@ -97,32 +101,17 @@ def _topo_order(root: Node):
 
 
 def add(a: Node, b: Node) -> Node:
-    _check_elementwise(a, b)
+    """Sum with numpy broadcasting, e.g. a (C, 1) bias over a (C, n) signal."""
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ConfigError(f"shape mismatch: {a.shape} vs {b.shape}") from None
 
     def bwd(g):
         _acc(a, _unbroadcast(g, a.shape))
         _acc(b, _unbroadcast(g, b.shape))
 
     return _wrap((a, b), a.value + b.value, bwd)
-
-
-def ssum(a: Node) -> Node:
-    """Sum of all elements, as a 0-d node."""
-
-    def bwd(g):
-        _acc(a, np.full(a.shape, float(g)))
-
-    return _wrap((a,), np.asarray(a.value.sum()), bwd)
-
-
-def scale(a: Node, s) -> Node:
-    """Multiply by a constant scalar or array (no gradient into the constant)."""
-    s = np.asarray(s, dtype=np.float64)
-
-    def bwd(g):
-        _acc(a, _unbroadcast(g * s, a.shape))
-
-    return _wrap((a,), a.value * s, bwd)
 
 
 def elu(a: Node) -> Node:
@@ -135,75 +124,75 @@ def elu(a: Node) -> Node:
     return _wrap((a,), out_val, bwd)
 
 
-def _check_elementwise(a, b):
-    if a.shape != b.shape and a.value.size != 1 and b.value.size != 1:
-        raise ConfigError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
 def _unbroadcast(g, shape):
-    """Reduce an upstream gradient back to a (possibly scalar) operand shape."""
+    """Sum an upstream gradient over the axes its operand was broadcast on."""
     if g.shape == shape:
         return g
-    return np.asarray(g.sum()).reshape(shape)
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    return g.sum(axis=tuple(i for i, s in enumerate(shape) if s == 1), keepdims=True)
 
 
 # ---------------------------------------------------------------------------
 # structured operations
 
 
-def conv1d_full(signal: Node, kernel: Node, stride: int = 1, padding: int = 0) -> Node:
-    """Linear convolution (kernel flipped) with stride and zero padding.
+def conv1d_full(x: Node, w: Node, stride: int = 1, padding: int = 0) -> Node:
+    """Multi-channel linear convolution (kernels flipped), strided and zero
+    padded.
 
-    Output length is floor((len(signal) + 2*padding - len(kernel)) / stride) + 1.
-    Differentiable w.r.t. both operands.
+    x is (C_in, n) and w is (C_out, C_in, k); the output is (C_out, n_out)
+    with n_out = floor((n + 2*padding - k) / stride) + 1, and output channel
+    o is the sum over i of x[i] convolved with w[o, i].  Both directions are
+    one product of sliding windows with the kernels.  Differentiable w.r.t.
+    both operands.
     """
-    if signal.value.ndim != 1 or kernel.value.ndim != 1:
-        raise ConfigError("conv1d_full operates on 1-D arrays")
+    if x.value.ndim != 2 or w.value.ndim != 3:
+        raise ConfigError(f"conv1d_full needs (C_in, n) and (C_out, C_in, k), "
+                          f"got {x.shape} and {w.shape}")
+    if w.shape[1] != x.shape[0]:
+        raise ConfigError(f"kernels expect {w.shape[1]} input channels, got {x.shape[0]}")
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise ConfigError(f"padding must be >= 0, got {padding}")
-    n, k = signal.value.shape[0], kernel.value.shape[0]
+    n, k = x.shape[1], w.shape[2]
     n_pad = n + 2 * padding
     if k > n_pad:
         raise ConfigError(f"kernel length {k} exceeds padded signal length {n_pad}")
 
-    s_pad = np.pad(signal.value, padding) if padding else signal.value
-    full = np.convolve(s_pad, kernel.value, mode="valid")  # length n_pad - k + 1
-    n_out = (n_pad - k) // stride + 1
-    out_val = full[::stride][:n_out]
+    x_pad = np.pad(x.value, ((0, 0), (padding, padding))) if padding else x.value
+    win = _sliding_windows(x_pad, k, axis=1)[:, ::stride]  # (C_in, n_out, k)
+    n_out = win.shape[1]
+    out_val = np.tensordot(w.value[:, :, ::-1], win, axes=([1, 2], [0, 2]))
 
     def bwd(g):
-        g_full = np.zeros(n_pad - k + 1)
-        g_full[: (n_out - 1) * stride + 1 : stride] = g
-        if signal.requires_grad:
-            gs = np.convolve(g_full, kernel.value[::-1], mode="full")
-            _acc(signal, gs[padding: padding + n] if padding else gs)
-        if kernel.requires_grad:
-            _acc(kernel, np.correlate(s_pad, g_full, mode="valid")[::-1])
+        if w.requires_grad:
+            _acc(w, np.tensordot(g, win, axes=([1], [1]))[:, :, ::-1])
+        if x.requires_grad:
+            # the transposed convolution: g on the stride grid, zero padded
+            # by k-1 on both sides, correlated with the unflipped kernels
+            up = np.zeros((g.shape[0], n_pad + k - 1))
+            up[:, k - 1: k + (n_out - 1) * stride: stride] = g
+            g_win = _sliding_windows(up, k, axis=1)          # (C_out, n_pad, k)
+            g_pad = np.tensordot(w.value, g_win, axes=([0, 2], [0, 2]))
+            _acc(x, g_pad[:, padding: padding + n])
 
-    return _wrap((signal, kernel), out_val, bwd)
-
-
-def stack_cols(cols) -> Node:
-    """Stack K equal-length vectors into an N x K matrix."""
-    out_val = np.stack([c.value for c in cols], axis=1)
-
-    def bwd(g):
-        for j, c in enumerate(cols):
-            _acc(c, g[:, j])
-
-    return _wrap(tuple(cols), out_val, bwd)
+    return _wrap((x, w), out_val, bwd)
 
 
-def softmax_rows(logits: Node) -> Node:
-    """Row-wise softmax with max-subtraction for stability."""
-    z = logits.value - logits.value.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out_val = e / e.sum(axis=1, keepdims=True)
+def softmax_groups(logits: Node, size: int) -> Node:
+    """Softmax over each block of ``size`` consecutive channels, with
+    max-subtraction for stability.
+
+    logits is (G * size, n); the output is (G, n, size), each row on the
+    simplex.
+    """
+    z = logits.value.reshape(-1, size, logits.shape[1]).transpose(0, 2, 1)
+    e = np.exp(z - z.max(axis=2, keepdims=True))
+    out_val = e / e.sum(axis=2, keepdims=True)
 
     def bwd(g):
-        inner = (g * out_val).sum(axis=1, keepdims=True)
-        _acc(logits, out_val * (g - inner))
+        inner = (g * out_val).sum(axis=2, keepdims=True)
+        _acc(logits, (out_val * (g - inner)).transpose(0, 2, 1).reshape(logits.shape))
 
     return _wrap((logits,), out_val, bwd)

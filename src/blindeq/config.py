@@ -8,7 +8,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 import yaml
@@ -109,13 +109,10 @@ class ExperimentConfig:
         return self.nu
 
 
-_FIELD_NAMES = None
+_FIELD_NAMES = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def from_dict(raw: dict) -> ExperimentConfig:
-    global _FIELD_NAMES
-    if _FIELD_NAMES is None:
-        _FIELD_NAMES = {f for f in ExperimentConfig.__dataclass_fields__}
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
     unknown = set(raw) - _FIELD_NAMES
@@ -184,38 +181,31 @@ def _update_schedule(cfg: ExperimentConfig) -> eq.UpdateSchedule:
                              scheduler=cfg.scheduler)
 
 
-def _equalize(cfg: ExperimentConfig, rx: np.ndarray, c, tx_sym, rng):
-    """Dispatch; returns (symbols, sigma_traj or None, result-extras dict)."""
+def _equalize(cfg: ExperimentConfig, rx: np.ndarray, c, tx_sym, rng) -> eq.EqualizerResult:
+    """Dispatch on the equalizer kind."""
     kind = cfg.kind
-    extras = {}
     if kind == "MMSE-genie":
         _, out, _ = eq.mmse_baseline(rx[0], tx_sym[0],
                                      n_taps=cfg.mmse_taps * cfg.n_os,
                                      sps=cfg.n_os)
-        return out[None, :], None, extras
+        return eq.EqualizerResult(out=out[None, :])
     if kind in ("CMA", "CMAbatch", "CMAflex"):
         n_b = None if kind == "CMA" else cfg.batch_symbols
         n_flex = (cfg.flex_symbols if kind == "CMAflex" else None)
-        out, filt, corr = eq.cma_run(rx, c, cfg.taps, cfg.lr, cfg.n_os,
-                                     n_frame=cfg.n_frame, scheduler=cfg.scheduler,
-                                     n_batch=n_b, n_flex=n_flex)
+        out, _, corr = eq.cma_run(rx, c, cfg.taps, cfg.lr, cfg.n_os,
+                                  n_frame=cfg.n_frame, scheduler=cfg.scheduler,
+                                  n_batch=n_b, n_flex=n_flex)
         out = eq.viterbi_viterbi_cpe(out, window=cfg.cpe_window)
-        extras["singularity_corr"] = corr
-        return np.atleast_2d(out), None, extras
-    sched = _update_schedule(cfg)
+        return eq.EqualizerResult(out=np.atleast_2d(out), singularity_corr=corr)
     if kind == "VAE-NN":
         state = eq.VaeNnState(cfg.n_pol, cfg.n_os, cfg.m, cfg.k1, cfg.k2,
                               f_ch=cfg.ch_taps or cfg.taps, rng=rng,
-                              hidden=cfg.hidden,
-                              matched_demapper=cfg.matched_demapper)
+                              hidden=cfg.hidden)
     else:
         state = eq.VaeLeState(cfg.n_pol, cfg.n_os, cfg.taps,
                               f_ch=cfg.ch_taps,
                               matched_demapper=cfg.matched_demapper)
-    res = eq.run_vae(rx, c, state, sched, n_frame=cfg.n_frame)
-    extras["ch_filter"] = res.ch_filter
-    extras["singularity_corr"] = res.singularity_corr
-    return res.out, res.sigma_traj, extras
+    return eq.run_vae(rx, c, state, _update_schedule(cfg), n_frame=cfg.n_frame)
 
 
 def _per_frame_sigma(cfg, sigma_traj):
@@ -238,25 +228,25 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
     tx_sym, tx_sig = _transmit(cfg, c, rng)
     rx = _propagate(cfg, tx_sig, params, rng)
     t0 = time.perf_counter()
-    out, sigma_traj, extras = _equalize(cfg, rx, c, tx_sym, rng)
+    res = _equalize(cfg, rx, c, tx_sym, rng)
     wall = time.perf_counter() - t0
 
     # decision variance: estimated trajectory for the VAE family, the true
     # injected value otherwise
     sigma_true = 10.0 ** (-cfg.snr_db / 10.0)
-    if sigma_traj is not None:
-        sig_frames = _per_frame_sigma(cfg, sigma_traj)
+    if res.sigma_traj is not None:
+        sig_frames = _per_frame_sigma(cfg, res.sigma_traj)
     else:
         sig_frames = np.full(cfg.n_ind, sigma_true)
 
     # run-level polarization pairing, then per-frame ambiguity resolution;
     # MAP decisions see the per-component noise variance
-    pairing = ev.resolve_pol_pairing(out, tx_sym, c, float(sig_frames[-1]) / 2.0,
+    pairing = ev.resolve_pol_pairing(res.out, tx_sym, c, float(sig_frames[-1]) / 2.0,
                                      n_frame=cfg.n_frame)
     edge = cfg.taps + (len(params.h_sim) if cfg.variant == "awgn_isi" else 20)
     curves = np.empty((cfg.n_pol, cfg.n_ind))
     for p in range(cfg.n_pol):
-        curves[p] = ev.frame_ser_curve(out[pairing[p]], tx_sym[p], c,
+        curves[p] = ev.frame_ser_curve(res.out[pairing[p]], tx_sym[p], c,
                                        sig_frames / 2.0, n_frame=cfg.n_frame,
                                        edge_trim=edge)
     record = {
@@ -265,13 +255,13 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
         "ma": np.stack([ev.moving_average(curves[p], cfg.ma_window)
                         for p in range(cfg.n_pol)]),
         "wall_s": wall,
-        "singularity_corr": extras.get("singularity_corr", 0.0),
+        "singularity_corr": res.singularity_corr,
     }
-    if sigma_traj is not None:
+    if res.sigma_traj is not None:
         record["snr_est_db"] = ev.snr_report(sig_frames)
-    if "ch_filter" in extras and cfg.variant == "awgn_isi":
+    if res.ch_filter is not None and cfg.variant == "awgn_isi":
         h_true = ch.oversampled_impulse_response(params.h_sim, cfg.n_os)
-        rep = ev.ip_report(extras["ch_filter"].taps[0, 0], h_true)
+        rep = ev.ip_report(res.ch_filter.taps[0, 0], h_true)
         record["ip_nmse_db"] = rep.nmse_db
     return record
 

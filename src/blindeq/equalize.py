@@ -448,76 +448,43 @@ class VaeNnState:
     """Two-layer 1-D CNN decoder trained with the same variational loss.
 
     Layer 1: conv (kernel k1, same padding) + ELU over 2*pol real input
-    channels; layer 2: conv (kernel k2, stride n_os) to pol * 2 * sqrt(M)
-    output channels, with a softmax over each sqrt(M) group.  The channel
-    model is the same butterfly FIR bank as for the linear decoder.
+    channels (re, im per pol); layer 2: conv (kernel k2, stride n_os) to
+    pol * 2 * sqrt(M) output channels, with a softmax over each sqrt(M)
+    group.  Each layer is one weight leaf, (C_out, C_in, k), and one bias
+    leaf, (C_out, 1).  The channel model is the same butterfly FIR bank as
+    for the linear decoder.
     """
 
     def __init__(self, n_pol: int, n_os: int, m: int, k1: int, k2: int,
-                 f_ch: int, rng: np.random.Generator, hidden: int | None = None,
-                 matched_demapper: bool = True):
+                 f_ch: int, rng: np.random.Generator, hidden: int | None = None):
         if k1 % 2 == 0 or not 3 <= k2 <= 5:
             raise ConfigError(f"need odd k1 and k2 in [3, 5], got {k1}, {k2}")
         self.n_pol, self.n_os, self.k1, self.k2 = n_pol, n_os, k1, k2
         self.n_levels = int(np.sqrt(m))
         self.hidden = hidden if hidden is not None else 2 * self.n_levels
-        self.matched_demapper = matched_demapper
         n_in = 2 * n_pol
         n_out = n_pol * 2 * self.n_levels
         s1 = 1.0 / np.sqrt(n_in * k1)
         s2 = 1.0 / np.sqrt(self.hidden * k2)
-        self.w1 = [[ad.leaf(s1 * rng.standard_normal(k1)) for _ in range(n_in)]
-                   for _ in range(self.hidden)]
-        self.b1 = [ad.leaf(np.zeros(1)) for _ in range(self.hidden)]
-        self.w2 = [[ad.leaf(s2 * rng.standard_normal(k2)) for _ in range(self.hidden)]
-                   for _ in range(n_out)]
-        self.b2 = [ad.leaf(np.zeros(1)) for _ in range(n_out)]
+        self.w1 = ad.leaf(s1 * rng.standard_normal((self.hidden, n_in, k1)))
+        self.b1 = ad.leaf(np.zeros((self.hidden, 1)))
+        self.w2 = ad.leaf(s2 * rng.standard_normal((n_out, self.hidden, k2)))
+        self.b2 = ad.leaf(np.zeros((n_out, 1)))
         self.ch = ButterflyFilter.dirac(n_pol, f_ch)
-        self.leaves = ([w for row in self.w1 for w in row] + self.b1
-                       + [w for row in self.w2 for w in row] + self.b2)
+        self.leaves = (self.w1, self.b1, self.w2, self.b2)
         self.adam = Adam([p.value for p in self.leaves] + [self.ch.taps.view(np.float64)])
         self.sigma_sq = 1.0
         self.batch_count = 0
         self.f_ch = f_ch
 
 
-def vae_nn_forward(rx: np.ndarray, state: VaeNnState):
-    """q-tensors from the CNN decoder; rx is (pol, n) complex."""
-    chans = []
-    for p in range(rx.shape[0]):
-        chans.append(ad.constant(rx[p].real))
-        chans.append(ad.constant(rx[p].imag))
-    p1 = state.k1 // 2
-    hidden = []
-    for o in range(state.hidden):
-        acc = None
-        for i, x in enumerate(chans):
-            t = ad.conv1d_full(x, state.w1[o][i], 1, p1)
-            acc = t if acc is None else ad.add(acc, t)
-        hidden.append(ad.elu(ad.add(acc, state.b1[o])))
-    p2 = state.k2 // 2
-    logits = []
-    for o in range(len(state.w2)):
-        acc = None
-        for i, hch in enumerate(hidden):
-            t = ad.conv1d_full(hch, state.w2[o][i], state.n_os, p2)
-            acc = t if acc is None else ad.add(acc, t)
-        logits.append(ad.add(acc, state.b2[o]))
-    k = state.n_levels
-    q_nodes = []
-    for p in range(state.n_pol):
-        comps = []
-        for comp in range(2):
-            base = (p * 2 + comp) * k
-            comps.append(ad.softmax_rows(ad.stack_cols(logits[base: base + k])))
-        q_nodes.append(comps)
-    return q_nodes
-
-
-def _posteriors(q_nodes) -> np.ndarray:
-    """The decoder's [pol][component] q nodes as one (pol, 2, n_sym, sqrt(M))
-    array."""
-    return np.stack([[node.value for node in qp] for qp in q_nodes])
+def vae_nn_forward(rx: np.ndarray, state: VaeNnState) -> ad.Node:
+    """The CNN decoder's posteriors for rx, (pol, n) complex, as a node of
+    shape (pol * 2, n_sym, sqrt(M)): the (I, Q) components of each pol."""
+    x = ad.constant(np.stack([rx.real, rx.imag], axis=1).reshape(-1, rx.shape[1]))
+    h = ad.elu(ad.add(ad.conv1d_full(x, state.w1, 1, state.k1 // 2), state.b1))
+    logits = ad.add(ad.conv1d_full(h, state.w2, state.n_os, state.k2 // 2), state.b2)
+    return ad.softmax_groups(logits, state.n_levels)
 
 
 def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation):
@@ -529,16 +496,11 @@ def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation):
     """
     for p in state.leaves:
         p.zero_grad()
-    q_nodes = vae_nn_forward(rx_batch, state)
-    q = _posteriors(q_nodes)
+    q_node = vae_nn_forward(rx_batch, state)
+    q = q_node.value.reshape(state.n_pol, 2, -1, state.n_levels)
     bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch.taps, c, state.n_os,
                              edge_trim=state.f_ch // 2)
-    seed = None
-    for qp, gp in zip(q_nodes, g_q):
-        for node, g in zip(qp, gp):
-            term = ad.ssum(ad.scale(node, g))
-            seed = term if seed is None else ad.add(seed, term)
-    ad.backward(seed)
+    ad.backward(q_node, g_q.reshape(q_node.shape))
     return q, bd, g_ch
 
 
@@ -556,8 +518,9 @@ def vae_nn_step(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
 
 
 def _soft_symbols(q: np.ndarray, c: Constellation) -> np.ndarray:
-    """E_Q[x] per pol from the (pol, 2, n_sym, sqrt(M)) posteriors."""
-    ex = q @ c.levels
+    """E_Q[x] per pol from (pol, 2, n_sym, sqrt(M)) or (pol * 2, n_sym,
+    sqrt(M)) posteriors."""
+    ex = (q @ c.levels).reshape(-1, 2, q.shape[-2])
     return ex[:, 0] + 1j * ex[:, 1]
 
 
@@ -567,6 +530,10 @@ def _soft_symbols(q: np.ndarray, c: Constellation) -> np.ndarray:
 
 @dataclass
 class EqualizerResult:
+    """One equalizer pass; a kind leaves the fields it does not produce at
+    their defaults (MMSE-genie sets only ``out``, the CMA family also
+    ``singularity_corr``)."""
+
     out: np.ndarray                       # (pol, n_sym) equalized symbols
     sigma_traj: np.ndarray = None         # (n_updates, 2): symbol pos, sigma^2
     ch_filter: ButterflyFilter = None     # channel-model estimate (VAE only)
@@ -607,7 +574,7 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
         out[:, t:] = _filter_windows(state.eq.taps, win[t:n_sym])
     elif t < n_sym:
         lo = max(n_sym - schedule.n_b, 0)
-        q = _posteriors(vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state))
+        q = vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state).value
         out[:, t:] = _soft_symbols(q, c)[:, t - lo:]
     corr = (_singularity_correlation(state.eq)
             if is_le and state.n_pol == 2 else 0.0)

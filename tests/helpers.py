@@ -51,56 +51,66 @@ def max_gradient_error(instance, eps: float = 1e-6) -> float:
 # ---------------------------------------------------------------------------
 # primitive-op instances for gradient checking
 
-def _graph_instance(nodes, build):
-    """(params, loss, grads) of a graph scalar build() over leaf nodes."""
+def _graph_instance(nodes, op, rng: np.random.Generator):
+    """(params, loss, grads) of the scalar sum(seed * op(*nodes)) over leaf
+    nodes.  The seed is a fixed random array, so the upstream gradient is
+    generic but identical across the repeated calls of the FD sweep."""
+    seed = rng.standard_normal(op(*nodes).shape)
+
     def grads():
         for p in nodes:
             p.zero_grad()
-        ad.backward(build())
+        ad.backward(op(*nodes), seed)
         return [p.grad.copy() for p in nodes]
 
-    return [p.value for p in nodes], lambda: float(build().value), grads
-
-
-def _scalarizer(rng: np.random.Generator):
-    """Fixed random linear functional, so upstream gradients are generic but
-    identical across the repeated build() calls of the FD sweep."""
-    weights = {}
-
-    def scalarize(out: ad.Node) -> ad.Node:
-        w = weights.setdefault(out.shape, rng.standard_normal(out.shape))
-        return ad.ssum(ad.scale(out, w))
-
-    return scalarize
+    return ([p.value for p in nodes], lambda: float((seed * op(*nodes).value).sum()),
+            grads)
 
 
 def primitive_cases(rng: np.random.Generator):
     """(name, (params, loss, grads)) pairs covering every differentiable op."""
-    sc = _scalarizer(rng)
-    a = ad.leaf(rng.standard_normal(6))
-    b = ad.leaf(rng.standard_normal(6))
-    s = ad.leaf(rng.standard_normal(1))
-    sig = ad.leaf(rng.standard_normal(9))
-    ker = ad.leaf(rng.standard_normal(3))
-    ker4 = ad.leaf(rng.standard_normal(4))
-    mat = ad.leaf(rng.standard_normal((5, 3)))
-    cols = [ad.leaf(rng.standard_normal(4)) for _ in range(3)]
-    vec = rng.standard_normal(3)
+    sig = ad.leaf(rng.standard_normal((3, 9)))
+    ker = ad.leaf(rng.standard_normal((2, 3, 3)))
+    ker4 = ad.leaf(rng.standard_normal((4, 3, 4)))
+    mat = ad.leaf(rng.standard_normal((2, 5)))
+    bias = ad.leaf(rng.standard_normal((2, 1)))
+    logits = ad.leaf(rng.standard_normal((6, 4)))
     cases = [
-        ("add", [a, b], lambda: sc(ad.add(a, b))),
-        ("add_broadcast", [a, s], lambda: sc(ad.add(a, s))),
-        ("ssum", [a], lambda: ad.ssum(a)),
-        ("scale", [a], lambda: sc(ad.scale(a, vec[0]))),
-        ("elu", [a], lambda: sc(ad.elu(a))),
-        ("conv_plain", [sig, ker], lambda: sc(ad.conv1d_full(sig, ker))),
-        ("conv_stride_pad", [sig, ker],
-         lambda: sc(ad.conv1d_full(sig, ker, 2, 2))),
-        ("conv_even_kernel", [sig, ker4],
-         lambda: sc(ad.conv1d_full(sig, ker4, 3, 1))),
-        ("stack_cols", cols, lambda: sc(ad.stack_cols(cols))),
-        ("softmax_rows", [mat], lambda: sc(ad.softmax_rows(mat))),
+        ("add", [mat, ad.leaf(rng.standard_normal((2, 5)))], ad.add),
+        ("add_broadcast", [mat, bias], ad.add),
+        ("elu", [mat], ad.elu),
+        ("conv_plain", [sig, ker], ad.conv1d_full),
+        ("conv_stride_pad", [sig, ker], lambda x, w: ad.conv1d_full(x, w, 2, 2)),
+        ("conv_even_kernel", [sig, ker4], lambda x, w: ad.conv1d_full(x, w, 3, 1)),
+        ("softmax_groups", [logits], lambda z: ad.softmax_groups(z, 3)),
     ]
-    return [(name, _graph_instance(nodes, build)) for name, nodes, build in cases]
+    return [(name, _graph_instance(nodes, op, rng)) for name, nodes, op in cases]
+
+
+# ---------------------------------------------------------------------------
+# the CNN decoder's forward pass, one np.convolve per (output, input) channel
+# pair: the reference for equalize.vae_nn_forward
+
+def vae_nn_forward_loop(rx: np.ndarray, state) -> np.ndarray:
+    """Posteriors (pol, 2, n_sym, sqrt(M)) of the CNN decoder for rx."""
+    chans = [part for p in range(rx.shape[0]) for part in (rx[p].real, rx[p].imag)]
+    w1, b1 = state.w1.value, state.b1.value
+    w2, b2 = state.w2.value, state.b2.value
+    p1, p2 = state.k1 // 2, state.k2 // 2
+    hidden = []
+    for o in range(w1.shape[0]):
+        acc = sum(np.convolve(np.pad(x, p1), w1[o, i], mode="valid")
+                  for i, x in enumerate(chans))
+        z = acc + b1[o]
+        hidden.append(np.where(z > 0.0, z, np.expm1(z)))
+    logits = []
+    for o in range(w2.shape[0]):
+        acc = sum(np.convolve(np.pad(h, p2), w2[o, i], mode="valid")[::state.n_os]
+                  for i, h in enumerate(hidden))
+        logits.append(acc + b2[o])
+    z = np.array(logits).reshape(state.n_pol, 2, state.n_levels, -1).transpose(0, 1, 3, 2)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +150,7 @@ def tiny_nn_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
           + 1j * rng.standard_normal((n_pol, n_b * n_os)))
 
     def loss():
-        q = eq._posteriors(eq.vae_nn_forward(rx, state))
+        q = eq.vae_nn_forward(rx, state).value.reshape(n_pol, 2, n_b, -1)
         return eq.vae_loss(rx, q, state.ch.taps, c, n_os, edge_trim=state.f_ch // 2)[0].total
 
     def grads():

@@ -9,6 +9,7 @@ from blindeq import equalize as eq
 from blindeq import evaluate as ev
 from blindeq import modem, sigproc
 from blindeq.errors import ConfigError
+from helpers import vae_nn_forward_loop
 
 
 def test_godard_radius():
@@ -320,10 +321,55 @@ def test_run_vae_nn_covers_tail():
     # the 50-symbol tail is the decoder's E_Q[x] at the final weights over
     # the stream's last 350 symbols
     rxn = eq._unit_power(rx[None, :]) / np.sqrt(2)
-    q = eq.vae_nn_forward(rxn[:, 100:], state)
-    tail = np.stack([qp[0].value @ c.levels + 1j * (qp[1].value @ c.levels)
-                     for qp in q])
-    assert np.array_equal(res.out[:, 350:], tail[:, 300:])
+    q = eq.vae_nn_forward(rxn[:, 100:], state).value
+    tail = q[0] @ c.levels + 1j * (q[1] @ c.levels)
+    assert np.array_equal(res.out[0, 350:], tail[300:])
+
+
+def test_vae_nn_weights_match_per_kernel_draws():
+    # one draw per layer is the per-(output, input) kernel draws in order
+    state = eq.VaeNnState(2, 2, 16, k1=7, k2=3, f_ch=5,
+                          rng=np.random.default_rng(4), hidden=5)
+    rng = np.random.default_rng(4)
+    s1, s2 = 1.0 / np.sqrt(4 * 7), 1.0 / np.sqrt(5 * 3)
+    w1 = [[s1 * rng.standard_normal(7) for _ in range(4)] for _ in range(5)]
+    w2 = [[s2 * rng.standard_normal(3) for _ in range(5)] for _ in range(16)]
+    assert np.array_equal(state.w1.value, np.array(w1))
+    assert np.array_equal(state.w2.value, np.array(w2))
+    assert state.b1.shape == (5, 1) and state.b2.shape == (16, 1)
+    assert not state.b1.value.any() and not state.b2.value.any()
+
+
+@pytest.mark.parametrize("pol", [1, 2])
+@pytest.mark.parametrize("n_os", [1, 2])
+@pytest.mark.parametrize("k2", [3, 5])
+def test_vae_nn_forward_matches_convolve_loop(pol, n_os, k2):
+    rng = np.random.default_rng(pol + 10 * n_os + 100 * k2)
+    state = eq.VaeNnState(pol, n_os, 16, k1=9, k2=k2, f_ch=5, rng=rng, hidden=6)
+    state.b1.value[:] = rng.standard_normal(state.b1.shape)
+    state.b2.value[:] = rng.standard_normal(state.b2.shape)
+    n = 40 * n_os
+    rx = rng.standard_normal((pol, n)) + 1j * rng.standard_normal((pol, n))
+    q = eq.vae_nn_forward(rx, state).value.reshape(pol, 2, 40, 4)
+    assert np.abs(q - vae_nn_forward_loop(rx, state)).max() <= 1e-12
+
+
+def test_vae_nn_update_is_two_conv_nodes_and_five_adam_arrays(monkeypatch):
+    calls = []
+    conv = eq.ad.conv1d_full
+
+    def counted(*args):
+        calls.append(args)
+        return conv(*args)
+
+    monkeypatch.setattr(eq.ad, "conv1d_full", counted)
+    c = modem.build_constellation(64, 0.0)
+    rng = np.random.default_rng(0)
+    state = eq.VaeNnState(2, 2, 64, k1=29, k2=3, f_ch=25, rng=rng)
+    rx = rng.standard_normal((2, 700)) + 1j * rng.standard_normal((2, 700))
+    eq.vae_nn_step(state, rx, c, eq.UpdateSchedule(n_b=350, n_flex=350, lr=1e-3))
+    assert len(calls) == 2
+    assert len(state.adam.params) == 5
 
 
 def test_vae_state_validation():

@@ -77,9 +77,9 @@ def test_convolve_same_matches_autodiff_conv():
     for k in (3, 7, 11):
         taps = rng.standard_normal(k)
         ref = sigproc.convolve_same(x, taps)
-        out = ad.conv1d_full(ad.constant(x), ad.constant(taps),
+        out = ad.conv1d_full(ad.constant(x[None]), ad.constant(taps[None, None]),
                              stride=1, padding=k // 2)
-        assert np.allclose(out.value, ref, atol=1e-12)
+        assert np.allclose(out.value[0], ref, atol=1e-12)
 
 
 def test_shape_pipeline():
