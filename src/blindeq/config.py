@@ -94,6 +94,9 @@ class ExperimentConfig:
         if self.kind == "MMSE-genie" and self.variant != "awgn_isi":
             raise ConfigError("MMSE-genie runs on a single channel (awgn_isi)")
         self.effective_nu()  # the entropy range
+        if self.kind == "VAE-NN" and (self.k1 % 2 == 0 or self.k2 not in (3, 5)):
+            raise ConfigError(f"VAE-NN needs an odd k1 and k2 in {{3, 5}}, "
+                              f"got {self.k1}, {self.k2}")
         if self.kind in ("VAE-LE", "VAE-NN", "VAEflex"):
             _update_schedule(self)  # 1 <= n_flex <= n_b, as the run needs
             if self.n_ind * self.n_frame < self.batch_symbols:
@@ -148,13 +151,19 @@ def _channel_params(cfg: ExperimentConfig) -> ch.ChannelParams:
                             snr_db=cfg.snr_db, n_frame=cfg.n_frame)
 
 
+def _pulse(cfg: ExperimentConfig) -> np.ndarray | None:
+    """The RRC taps of a shaped link, None for zero insertion."""
+    if cfg.shaping == "rrc":
+        return sigproc.rrc_taps(cfg.rolloff, cfg.rrc_span, cfg.n_os)
+    return None
+
+
 def _transmit(cfg: ExperimentConfig, c: modem.Constellation,
               rng: np.random.Generator):
     """Per-pol symbol streams and the pulse-shaped sample streams."""
     n_sym = cfg.n_ind * cfg.n_frame
     tx_sym, tx_sig = [], []
-    rrc = (sigproc.rrc_taps(cfg.rolloff, cfg.rrc_span, cfg.n_os)
-           if cfg.shaping == "rrc" else None)
+    rrc = _pulse(cfg)
     for _ in range(cfg.n_pol):
         s = modem.sample_symbols(c, n_sym, rng)
         tx_sym.append(s.samples)
@@ -260,7 +269,8 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
     if res.sigma_traj is not None:
         record["snr_est_db"] = ev.snr_report(sig_frames)
     if res.ch_filter is not None and cfg.variant == "awgn_isi":
-        h_true = ch.oversampled_impulse_response(params.h_sim, cfg.n_os)
+        # the channel model learns the pulse convolved with the channel
+        h_true = ch.oversampled_impulse_response(params.h_sim, cfg.n_os, _pulse(cfg))
         rep = ev.ip_report(res.ch_filter.taps[0, 0], h_true)
         record["ip_nmse_db"] = rep.nmse_db
     return record

@@ -50,17 +50,6 @@ class ButterflyFilter:
         return cls(taps)
 
 
-def butterfly_apply(rx: np.ndarray, filt: ButterflyFilter, stride: int = 1) -> np.ndarray:
-    """Centered 2x2 (or 1x1) MIMO convolution with strided downsampling.
-
-    rx has shape (pol, n_samples); returns (pol, ceil(n_samples / stride)).
-    """
-    pol = rx.shape[0]
-    if pol != filt.n_pol:
-        raise ConfigError(f"input has {pol} polarizations, filter {filt.n_pol}")
-    return _filter_windows(filt.taps, _windows(rx, filt.n_taps, stride))
-
-
 def _filter_windows(taps: np.ndarray, win: np.ndarray) -> np.ndarray:
     """Convolve a block of (n, pol, F) windows with (pol, pol, F) taps;
     returns (pol, n)."""
@@ -450,15 +439,15 @@ class VaeNnState:
     Layer 1: conv (kernel k1, same padding) + ELU over 2*pol real input
     channels (re, im per pol); layer 2: conv (kernel k2, stride n_os) to
     pol * 2 * sqrt(M) output channels, with a softmax over each sqrt(M)
-    group.  Each layer is one weight leaf, (C_out, C_in, k), and one bias
-    leaf, (C_out, 1).  The channel model is the same butterfly FIR bank as
-    for the linear decoder.
+    group.  Each layer is one weight array, (C_out, C_in, k), and one bias,
+    (C_out, 1), which Adam steps in place.  The channel model is the same
+    butterfly FIR bank as for the linear decoder.
     """
 
     def __init__(self, n_pol: int, n_os: int, m: int, k1: int, k2: int,
                  f_ch: int, rng: np.random.Generator, hidden: int | None = None):
-        if k1 % 2 == 0 or not 3 <= k2 <= 5:
-            raise ConfigError(f"need odd k1 and k2 in [3, 5], got {k1}, {k2}")
+        if k1 % 2 == 0 or k2 not in (3, 5):
+            raise ConfigError(f"need odd k1 and k2 in {{3, 5}}, got {k1}, {k2}")
         self.n_pol, self.n_os, self.k1, self.k2 = n_pol, n_os, k1, k2
         self.n_levels = int(np.sqrt(m))
         self.hidden = hidden if hidden is not None else 2 * self.n_levels
@@ -466,52 +455,54 @@ class VaeNnState:
         n_out = n_pol * 2 * self.n_levels
         s1 = 1.0 / np.sqrt(n_in * k1)
         s2 = 1.0 / np.sqrt(self.hidden * k2)
-        self.w1 = ad.leaf(s1 * rng.standard_normal((self.hidden, n_in, k1)))
-        self.b1 = ad.leaf(np.zeros((self.hidden, 1)))
-        self.w2 = ad.leaf(s2 * rng.standard_normal((n_out, self.hidden, k2)))
-        self.b2 = ad.leaf(np.zeros((n_out, 1)))
+        self.w1 = s1 * rng.standard_normal((self.hidden, n_in, k1))
+        self.b1 = np.zeros((self.hidden, 1))
+        self.w2 = s2 * rng.standard_normal((n_out, self.hidden, k2))
+        self.b2 = np.zeros((n_out, 1))
         self.ch = ButterflyFilter.dirac(n_pol, f_ch)
-        self.leaves = (self.w1, self.b1, self.w2, self.b2)
-        self.adam = Adam([p.value for p in self.leaves] + [self.ch.taps.view(np.float64)])
+        self.adam = Adam([self.w1, self.b1, self.w2, self.b2,
+                          self.ch.taps.view(np.float64)])
         self.sigma_sq = 1.0
         self.batch_count = 0
         self.f_ch = f_ch
 
 
-def vae_nn_forward(rx: np.ndarray, state: VaeNnState) -> ad.Node:
-    """The CNN decoder's posteriors for rx, (pol, n) complex, as a node of
-    shape (pol * 2, n_sym, sqrt(M)): the (I, Q) components of each pol."""
-    x = ad.constant(np.stack([rx.real, rx.imag], axis=1).reshape(-1, rx.shape[1]))
-    h = ad.elu(ad.add(ad.conv1d_full(x, state.w1, 1, state.k1 // 2), state.b1))
-    logits = ad.add(ad.conv1d_full(h, state.w2, state.n_os, state.k2 // 2), state.b2)
-    return ad.softmax_groups(logits, state.n_levels)
+def vae_nn_forward(rx: np.ndarray, state: VaeNnState):
+    """The CNN decoder's posteriors for rx, (pol, n) complex.
+
+    Returns q, (pol * 2, n_sym, sqrt(M)): the (I, Q) components of each
+    pol, and the layer values (x, a1, h) that ``ad.backward`` reads.
+    """
+    x = np.stack([rx.real, rx.imag], axis=1).reshape(-1, rx.shape[1])
+    a1 = ad.conv1d_full(x, state.w1, 1, state.k1 // 2) + state.b1
+    h = ad.elu(a1)
+    logits = ad.conv1d_full(h, state.w2, state.n_os, state.k2 // 2) + state.b2
+    return ad.softmax_groups(logits, state.n_levels), (x, a1, h)
 
 
 def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation):
     """The batch loss of the CNN decoder and its gradients.
 
-    The decoder's leaves receive their gradients through its graph, seeded
-    with the closed-form dL/dq.  Returns (q, LossBreakdown, dL/d channel
-    taps).
+    The closed-form dL/dq goes back through the decoder in one
+    ``ad.backward`` call.  Returns (q, LossBreakdown, dL/d (w1, b1, w2, b2),
+    dL/d channel taps).
     """
-    for p in state.leaves:
-        p.zero_grad()
-    q_node = vae_nn_forward(rx_batch, state)
-    q = q_node.value.reshape(state.n_pol, 2, -1, state.n_levels)
+    q_cnn, (x, a1, h) = vae_nn_forward(rx_batch, state)
+    q = q_cnn.reshape(state.n_pol, 2, -1, state.n_levels)
     bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch.taps, c, state.n_os,
                              edge_trim=state.f_ch // 2)
-    ad.backward(q_node, g_q.reshape(q_node.shape))
-    return q, bd, g_ch
+    g_net = ad.backward(x, state.w1, a1, h, state.w2, state.n_os, q_cnn,
+                        g_q.reshape(q_cnn.shape))
+    return q, bd, g_net, g_ch
 
 
 def vae_nn_step(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
                 schedule: UpdateSchedule, lr: float | None = None):
     """One CNN-decoder mini-batch; emits soft symbols E_Q[x] per pol."""
-    q, bd, g_ch = vae_nn_grads(state, rx_batch, c)
+    q, bd, g_net, g_ch = vae_nn_grads(state, rx_batch, c)
     if not np.isfinite(bd.total):
         raise DivergenceError(state.batch_count)
-    state.adam.step([p.grad for p in state.leaves] + [_real_view(g_ch)],
-                    schedule.lr if lr is None else lr)
+    state.adam.step([*g_net, _real_view(g_ch)], schedule.lr if lr is None else lr)
     state.sigma_sq = bd.sigma_sq
     state.batch_count += 1
     return _soft_symbols(q, c)[:, : schedule.n_flex], bd
@@ -574,7 +565,7 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
         out[:, t:] = _filter_windows(state.eq.taps, win[t:n_sym])
     elif t < n_sym:
         lo = max(n_sym - schedule.n_b, 0)
-        q = vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state).value
+        q, _ = vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state)
         out[:, t:] = _soft_symbols(q, c)[:, t - lo:]
     corr = (_singularity_correlation(state.eq)
             if is_le and state.n_pol == 2 else 0.0)

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ConfigError
 from .modem import Constellation, map_decide, symbol_indices
@@ -220,14 +219,3 @@ def ip_report(h_est: np.ndarray, h_true: np.ndarray) -> IpReport:
     nmse = err / power
     return IpReport(nmse=nmse, nmse_db=10.0 * np.log10(max(nmse, 1e-30)),
                     shift=lag, gain=gain, h_est=h_est, h_ref_aligned=aligned)
-
-
-def qam_awgn_ser(m: int, snr_db: float) -> float:
-    """Closed-form symbol error rate of uniform square M-QAM over AWGN."""
-    root = int(np.sqrt(m))
-    if root * root != m:
-        raise ConfigError(f"modulation order must be a perfect square, got {m}")
-    snr = 10.0 ** (snr_db / 10.0)
-    arg = np.sqrt(3.0 * snr / (2.0 * (m - 1)))
-    p = (1.0 - 1.0 / root) * erfc(arg)
-    return float(1.0 - (1.0 - p) ** 2)

@@ -1,16 +1,18 @@
 """Shared test utilities: finite-difference gradient checking, tiny
 variational-loss instances used by both the unit tests and the acceptance
-suite, and the exhaustive ambiguity search that evaluate's is checked
-against."""
+suite, the exhaustive ambiguity search that evaluate's is checked against,
+a stream-level butterfly filter and the closed-form QAM SER."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import erfc
 
 from blindeq import autodiff as ad
 from blindeq import equalize as eq
 from blindeq import evaluate as ev
 from blindeq import modem
+from blindeq.errors import ConfigError
 
 
 def fd_gradients(loss, params, eps: float = 1e-6):
@@ -49,42 +51,56 @@ def max_gradient_error(instance, eps: float = 1e-6) -> float:
 
 
 # ---------------------------------------------------------------------------
-# primitive-op instances for gradient checking
+# hand-written reverse passes for gradient checking
 
-def _graph_instance(nodes, op, rng: np.random.Generator):
-    """(params, loss, grads) of the scalar sum(seed * op(*nodes)) over leaf
-    nodes.  The seed is a fixed random array, so the upstream gradient is
-    generic but identical across the repeated calls of the FD sweep."""
-    seed = rng.standard_normal(op(*nodes).shape)
+def _seeded_instance(params, forward, backward, rng: np.random.Generator):
+    """(params, loss, grads) of the scalar sum(seed * forward()), where
+    backward(seed) gives the hand-written gradients w.r.t. params.  The seed
+    is a fixed random array, so the upstream gradient is generic but
+    identical across the repeated calls of the FD sweep."""
+    seed = rng.standard_normal(forward().shape)
+    return (params, lambda: float((seed * forward()).sum()),
+            lambda: list(backward(seed)))
 
-    def grads():
-        for p in nodes:
-            p.zero_grad()
-        ad.backward(op(*nodes), seed)
-        return [p.grad.copy() for p in nodes]
 
-    return ([p.value for p in nodes], lambda: float((seed * op(*nodes).value).sum()),
-            grads)
+def _conv_instance(x, w, stride, padding, rng: np.random.Generator):
+    return _seeded_instance(
+        [x, w], lambda: ad.conv1d_full(x, w, stride, padding),
+        lambda g: (ad.conv1d_grad_x(g, w, x.shape[1], stride, padding),
+                   ad.conv1d_grad_w(g, x, w.shape[2], stride, padding)), rng)
+
+
+def _cnn_instance(rng: np.random.Generator, n_pol: int, n_os: int, k2: int):
+    """The CNN decoder's forward pass and ad.backward over its weights and
+    biases, with nonzero biases so ELU sees both signs."""
+    state = eq.VaeNnState(n_pol, n_os, 16, k1=5, k2=k2, f_ch=3, rng=rng, hidden=3)
+    state.b1[:] = rng.standard_normal(state.b1.shape)
+    state.b2[:] = rng.standard_normal(state.b2.shape)
+    n = 8 * n_os
+    rx = rng.standard_normal((n_pol, n)) + 1j * rng.standard_normal((n_pol, n))
+
+    def backward(g):
+        q, (x, a1, h) = eq.vae_nn_forward(rx, state)
+        return ad.backward(x, state.w1, a1, h, state.w2, state.n_os, q, g)
+
+    return _seeded_instance([state.w1, state.b1, state.w2, state.b2],
+                            lambda: eq.vae_nn_forward(rx, state)[0], backward, rng)
 
 
 def primitive_cases(rng: np.random.Generator):
-    """(name, (params, loss, grads)) pairs covering every differentiable op."""
-    sig = ad.leaf(rng.standard_normal((3, 9)))
-    ker = ad.leaf(rng.standard_normal((2, 3, 3)))
-    ker4 = ad.leaf(rng.standard_normal((4, 3, 4)))
-    mat = ad.leaf(rng.standard_normal((2, 5)))
-    bias = ad.leaf(rng.standard_normal((2, 1)))
-    logits = ad.leaf(rng.standard_normal((6, 4)))
-    cases = [
-        ("add", [mat, ad.leaf(rng.standard_normal((2, 5)))], ad.add),
-        ("add_broadcast", [mat, bias], ad.add),
-        ("elu", [mat], ad.elu),
-        ("conv_plain", [sig, ker], ad.conv1d_full),
-        ("conv_stride_pad", [sig, ker], lambda x, w: ad.conv1d_full(x, w, 2, 2)),
-        ("conv_even_kernel", [sig, ker4], lambda x, w: ad.conv1d_full(x, w, 3, 1)),
-        ("softmax_groups", [logits], lambda z: ad.softmax_groups(z, 3)),
+    """(name, (params, loss, grads)) pairs covering the convolution's two
+    gradients and the CNN's whole reverse pass (biases, ELU and the grouped
+    softmax included)."""
+    sig = rng.standard_normal((3, 9))
+    ker = rng.standard_normal((2, 3, 3))
+    ker4 = rng.standard_normal((4, 3, 4))
+    return [
+        ("conv_plain", _conv_instance(sig, ker, 1, 0, rng)),
+        ("conv_stride_pad", _conv_instance(sig, ker, 2, 2, rng)),
+        ("conv_even_kernel", _conv_instance(sig, ker4, 3, 1, rng)),
+        ("cnn_1pol", _cnn_instance(rng, n_pol=1, n_os=2, k2=3)),
+        ("cnn_2pol_sym_spaced", _cnn_instance(rng, n_pol=2, n_os=1, k2=5)),
     ]
-    return [(name, _graph_instance(nodes, op, rng)) for name, nodes, op in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +110,7 @@ def primitive_cases(rng: np.random.Generator):
 def vae_nn_forward_loop(rx: np.ndarray, state) -> np.ndarray:
     """Posteriors (pol, 2, n_sym, sqrt(M)) of the CNN decoder for rx."""
     chans = [part for p in range(rx.shape[0]) for part in (rx[p].real, rx[p].imag)]
-    w1, b1 = state.w1.value, state.b1.value
-    w2, b2 = state.w2.value, state.b2.value
+    w1, b1, w2, b2 = state.w1, state.b1, state.w2, state.b2
     p1, p2 = state.k1 // 2, state.k2 // 2
     hidden = []
     for o in range(w1.shape[0]):
@@ -140,7 +155,7 @@ def tiny_le_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
 
 def tiny_nn_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
     """Small CNN-decoder batch: (params, loss, grads) over the decoder's
-    leaves and the channel-model taps."""
+    weights and biases and the channel-model taps."""
     c = modem.build_constellation(4, 0.0)
     state = eq.VaeNnState(n_pol=n_pol, n_os=n_os, m=4, k1=3, k2=3, f_ch=3,
                           rng=rng, hidden=2)
@@ -150,12 +165,12 @@ def tiny_nn_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
           + 1j * rng.standard_normal((n_pol, n_b * n_os)))
 
     def loss():
-        q = eq.vae_nn_forward(rx, state).value.reshape(n_pol, 2, n_b, -1)
+        q = eq.vae_nn_forward(rx, state)[0].reshape(n_pol, 2, n_b, -1)
         return eq.vae_loss(rx, q, state.ch.taps, c, n_os, edge_trim=state.f_ch // 2)[0].total
 
     def grads():
-        _, _, g_ch = eq.vae_nn_grads(state, rx, c)
-        return [p.grad.copy() for p in state.leaves] + [eq._real_view(g_ch)]
+        _, _, g_net, g_ch = eq.vae_nn_grads(state, rx, c)
+        return [*g_net, eq._real_view(g_ch)]
 
     return state.adam.params, loss, grads
 
@@ -220,3 +235,29 @@ def resolve_ambiguity_exhaustive(x_hat, ref, c, sigma_sq, max_shift=50,
                     best = ev.Alignment(shift=s, rotation=r, conjugate=conj,
                                         ser=ser, n_eval=length)
     return best
+
+
+# ---------------------------------------------------------------------------
+# references
+
+def butterfly_apply(rx: np.ndarray, filt: eq.ButterflyFilter, stride: int = 1) -> np.ndarray:
+    """Centered 2x2 (or 1x1) MIMO convolution of a whole stream with strided
+    downsampling, through the equalizers' windowing path.
+
+    rx has shape (pol, n_samples); returns (pol, ceil(n_samples / stride)).
+    """
+    pol = rx.shape[0]
+    if pol != filt.n_pol:
+        raise ConfigError(f"input has {pol} polarizations, filter {filt.n_pol}")
+    return eq._filter_windows(filt.taps, eq._windows(rx, filt.n_taps, stride))
+
+
+def qam_awgn_ser(m: int, snr_db: float) -> float:
+    """Closed-form symbol error rate of uniform square M-QAM over AWGN."""
+    root = int(np.sqrt(m))
+    if root * root != m:
+        raise ConfigError(f"modulation order must be a perfect square, got {m}")
+    snr = 10.0 ** (snr_db / 10.0)
+    arg = np.sqrt(3.0 * snr / (2.0 * (m - 1)))
+    p = (1.0 - 1.0 / root) * erfc(arg)
+    return float(1.0 - (1.0 - p) ** 2)

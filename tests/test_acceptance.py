@@ -17,7 +17,7 @@ from blindeq import equalize as eq
 from blindeq import evaluate as ev
 from blindeq import modem, sigproc
 from blindeq.config import ExperimentConfig
-from helpers import LOSS_INSTANCES, max_gradient_error, primitive_cases
+from helpers import LOSS_INSTANCES, max_gradient_error, primitive_cases, qam_awgn_ser
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -223,7 +223,7 @@ def test_criterion_03_no_isi_ser():
             i, q = modem.map_decide(y, c, sig / 2.0)
             ri, rq = modem.symbol_indices(c, s.samples)
             p_hat = float(np.mean((i != ri) | (q != rq)))
-            p_ref = ev.qam_awgn_ser(m, snr)
+            p_ref = qam_awgn_ser(m, snr)
             sd = np.sqrt(p_ref * (1.0 - p_ref) / n)
             pulls = abs(p_hat - p_ref) / sd
             worst = max(worst, pulls)
@@ -264,7 +264,7 @@ def test_criterion_05_shaped_64qam(pcs64):
 
 def test_criterion_06_dp_64qam(dp23):
     _, rep = dp23
-    gate = ev.qam_awgn_ser(64, 22.0)
+    gate = qam_awgn_ser(64, 22.0)
     ok = rep.n_fail == 0 and rep.final_ser <= gate
     _report(6, ok, f"DP VAE-LE SER {rep.final_ser:.5f} <= "
                    f"interference-free 22 dB reference {gate:.5f}")

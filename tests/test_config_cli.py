@@ -91,6 +91,19 @@ def test_run_single_vae_records_extras():
     assert "ip_nmse_db" in rec and np.isfinite(rec["ip_nmse_db"])
 
 
+def test_run_single_scores_shaped_channel_estimate():
+    # on a noiseless RRC-shaped link the channel model learns the pulse
+    # convolved with h_sim; scored against h_sim alone the same estimate
+    # reads about -0.6 dB
+    cfg = config.ExperimentConfig(
+        seed=1, variant="awgn_isi", shaping="rrc", snr_db=float("inf"), m=4,
+        kind="VAE-LE", taps=25, batch_symbols=350, lr=5e-3, n_frame=5_000,
+        n_ind=10, ma_window=1)
+    rec = config.run_single(cfg, 0, cfg.seed, 0)
+    assert rec["frame_ser"][0, -1] == 0.0
+    assert rec["ip_nmse_db"] <= -30.0
+
+
 def test_run_experiment_outputs(tmp_path):
     cfg = replace(TINY, sweep={"snr_db": [14.0, 18.0]})
     out = tmp_path / "res"
@@ -157,6 +170,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     {"entropy": 4.5},                                  # more than log2(16)
     {"entropy": 2.0},
     {"sweep": {"entropy": [3.5, 4.5]}},                # only the 2nd point is bad
+    {"kind": "VAE-NN", "k2": 4},                       # even: n_b + 1 outputs
+    {"kind": "VAE-NN", "k2": 7},
+    {"kind": "VAE-NN", "k1": 4},
+    {"k1": 4, "sweep": {"kind": ["CMA", "VAE-NN"]}},   # only the 2nd point is bad
 ])
 def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad):
     def no_run(*args):

@@ -10,7 +10,7 @@ from blindeq import evaluate as ev
 from blindeq import modem
 from blindeq.errors import ConfigError
 
-from helpers import candidate_shifts_full, resolve_ambiguity_exhaustive
+from helpers import candidate_shifts_full, qam_awgn_ser, resolve_ambiguity_exhaustive
 
 
 def test_slice_frames():
@@ -211,10 +211,10 @@ def test_ip_report_aligned_estimate():
 def test_qam_awgn_ser_reference_points():
     # [PAPER] interference-free 64-QAM reference at 22 dB used as the
     # dual-polarization performance gate
-    assert ev.qam_awgn_ser(64, 22.0) == pytest.approx(0.01049, abs=5e-6)
+    assert qam_awgn_ser(64, 22.0) == pytest.approx(0.01049, abs=5e-6)
     # SER decreases with SNR and increases with order
-    assert ev.qam_awgn_ser(16, 16.0) < ev.qam_awgn_ser(16, 12.0)
-    assert ev.qam_awgn_ser(16, 16.0) < ev.qam_awgn_ser(64, 16.0)
-    assert ev.qam_awgn_ser(4, 60.0) < 1e-12
+    assert qam_awgn_ser(16, 16.0) < qam_awgn_ser(16, 12.0)
+    assert qam_awgn_ser(16, 16.0) < qam_awgn_ser(64, 16.0)
+    assert qam_awgn_ser(4, 60.0) < 1e-12
     with pytest.raises(ConfigError):
-        ev.qam_awgn_ser(15, 20.0)
+        qam_awgn_ser(15, 20.0)
