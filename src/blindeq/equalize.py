@@ -51,8 +51,8 @@ class ButterflyFilter:
 
 
 def _filter_windows(taps: np.ndarray, win: np.ndarray) -> np.ndarray:
-    """Convolve a block of (n, pol, F) windows with (pol, pol, F) taps;
-    returns (pol, n)."""
+    """Convolve a block of (n, pol, F) windows, or their (n, pol * F)
+    flattening, with (pol, pol, F) taps; returns (pol, n)."""
     # the windows, like the CMA taps, are correlation-oriented; the VAE
     # (ButterflyFilter) taps are convolution-oriented, hence the flip
     flipped = taps[:, :, ::-1].reshape(taps.shape[0], -1)
@@ -61,11 +61,23 @@ def _filter_windows(taps: np.ndarray, win: np.ndarray) -> np.ndarray:
 
 def _windows(rx: np.ndarray, n_taps: int, stride: int) -> np.ndarray:
     """Sliding, symbol-strided windows (n_sym, pol, F), centered; a view."""
-    mh = n_taps // 2
+    pad, inner = _padded(rx.shape[0], rx.shape[1], n_taps, rx.dtype)
+    inner[:] = rx
+    return _window_view(pad, n_taps, stride)
+
+
+def _padded(pol: int, n: int, n_taps: int, dtype):
+    """A zero (pol, n + F - 1) array and its (pol, n) interior, a view."""
     # zeros and a slice assignment: np.pad costs more than the rest of this
     # for the short blocks of a VAE update
-    pad = np.zeros((rx.shape[0], rx.shape[1] + 2 * mh), dtype=rx.dtype)
-    pad[:, mh: mh + rx.shape[1]] = rx
+    mh = n_taps // 2
+    pad = np.zeros((pol, n + 2 * mh), dtype=dtype)
+    return pad, pad[:, mh: mh + n]
+
+
+def _window_view(pad: np.ndarray, n_taps: int, stride: int) -> np.ndarray:
+    """The windows (n_sym, pol, F) of a padded (pol, N + F - 1) array; a
+    view, so it follows later writes to ``pad``."""
     view = np.lib.stride_tricks.sliding_window_view(pad, n_taps, axis=1)
     return view[:, ::stride].transpose(1, 0, 2)
 
@@ -216,11 +228,12 @@ def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int = 20,
     tx = np.asarray(tx, dtype=np.complex128)
     n_sym = min(tx.shape[0], rx.shape[0] // sps)
     x = _windows(rx[None, :], n_taps, sps)[:n_sym, 0]
-    gram = x.conj().T @ x + ridge * np.eye(n_taps)
+    xh = x.conj().T
+    gram = xh @ x + ridge * np.eye(n_taps)
     best = None
     for d in range(-max_delay, max_delay + 1):
         target = np.roll(tx[:n_sym], d)
-        w = np.linalg.solve(gram, x.conj().T @ target)
+        w = np.linalg.solve(gram, xh @ target)
         resid = float(np.linalg.norm(x @ w - target) ** 2)
         if best is None or resid < best[0]:
             best = (resid, w, d)
@@ -280,8 +293,39 @@ class LossBreakdown:
     n_eff: int                       # samples per polarization entering C
 
 
+class LossContext:
+    """What ``vae_loss`` needs of one batch shape, built once per run.
+
+    Holds the run constants (the edge mask, ``n_eff`` and the mask's
+    symbol-grid windows) and two zero-padded buffers, for the upsampled mean
+    E[x] and the scaled residual, with window views made once.  Each
+    ``vae_loss`` call overwrites the buffers; nothing it returns aliases them.
+    """
+
+    def __init__(self, pol: int, n: int, f: int, n_os: int, edge_trim: int = 0):
+        self.shape = (pol, n, f, n_os, edge_trim)
+        mask = np.ones(n)
+        if edge_trim:
+            mask[:edge_trim] = 0.0
+            mask[n - edge_trim:] = 0.0
+        self.mask = mask
+        self.n_eff = int(mask.sum())
+        self.sym_mask = mask[::n_os, None]
+        # mwin[k, t] = mask[k n_os - F//2 + t]: the kept samples that symbol
+        # k's variance reaches through tap F-1-t
+        self.mwin = _windows(mask[None], f, n_os)[:, 0]           # (n_sym, F)
+        # E[x] on the sample grid: only the symbol positions are ever written,
+        # so the samples between symbols stay zero
+        up_pad, up = _padded(pol, n, f, np.complex128)
+        self.up_sym = up[:, ::n_os]
+        self.up_win = _window_view(up_pad, f, 1)                   # (n, pol, F)
+        # 2 w_p resid_p, read on the symbol grid
+        r_pad, self.r = _padded(pol, n, f, np.complex128)
+        self.r_win = _window_view(r_pad, f, n_os)                  # (n_sym, pol, F)
+
+
 def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
-             n_os: int, edge_trim: int = 0):
+             n_os: int, edge_trim: int = 0, ctx: LossContext | None = None):
     """Reduced negative ELBO for one batch, with its gradients in closed form.
 
     rx: (pol, N) complex samples, N = n_sym * n_os.
@@ -290,6 +334,7 @@ def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
     h: (pol, pol, F) complex channel-model taps, convolution-oriented.
     edge_trim: samples excluded at each end of the distortion/KL windows
         (the model cannot explain them without symbols outside the batch).
+    ctx: the run's ``LossContext`` for this shape; a fresh one when None.
 
     The loss is sum_p (A_p + N ln C_p): A_p is the KL divergence of q_p from
     the prior, and C_p = sum_n |y_p - (h * E[x])_p|^2 + (|h|^2 * Var[x])_p
@@ -298,28 +343,26 @@ def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
     """
     pol, n = rx.shape
     f = h.shape[2]
-    mask = np.ones(n)
-    if edge_trim:
-        mask[:edge_trim] = 0.0
-        mask[n - edge_trim:] = 0.0
-    n_eff = int(mask.sum())
-    sym_mask = mask[::n_os, None]
+    if ctx is None:
+        ctx = LossContext(pol, n, f, n_os, edge_trim)
+    elif ctx.shape != (pol, n, f, n_os, edge_trim):
+        raise ValueError(f"loss context built for {ctx.shape}, "
+                         f"called with {(pol, n, f, n_os, edge_trim)}")
+    n_eff, sym_mask, mwin = ctx.n_eff, ctx.sym_mask, ctx.mwin
+    lev_sq = c.levels ** 2
 
     # KL of the factorized posterior against the Maxwell-Boltzmann prior
-    log_ratio = np.log(q + 1e-30) - np.log(c.prior)
+    q_eps = q + 1e-30
+    log_ratio = np.log(q_eps) - np.log(c.prior)
     a_kl = (q * log_ratio * sym_mask).sum(axis=(1, 2, 3))
-    g_q = (log_ratio + q / (q + 1e-30)) * sym_mask
+    g_q = (log_ratio + q / q_eps) * sym_mask
 
     # E[x] on the sample grid (zeros between symbols) and Var[x] per symbol
     ex = q @ c.levels                                     # (pol, 2, n_sym)
-    var = (q @ c.levels ** 2 - ex ** 2).sum(axis=1)       # (pol, n_sym)
+    var = (q @ lev_sq - ex ** 2).sum(axis=1)              # (pol, n_sym)
     mean = ex[:, 0] + 1j * ex[:, 1]
-    up = np.zeros((pol, n), dtype=np.complex128)
-    up[:, ::n_os] = mean
-    resid = mask * (_filter_windows(h, _windows(up, f, 1)) - rx)
-    # mwin[k, t] = mask[k n_os - F//2 + t]: the kept samples that symbol k's
-    # variance reaches through tap F-1-t
-    mwin = _windows(mask[None], f, n_os)[:, 0]            # (n_sym, F)
+    ctx.up_sym[...] = mean
+    resid = ctx.mask * (_filter_windows(h, ctx.up_win) - rx)
     spread = var @ mwin                                   # (pol, F)
     h_sq = np.abs(h) ** 2
     c_vals = (np.abs(resid) ** 2).sum(axis=1) + (h_sq * spread).sum(axis=(1, 2))
@@ -332,23 +375,30 @@ def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
 
     # distortion: dL/d(h * E[x])_p = 2 w_p resid_p, correlated with the taps
     # for E[x] and with E[x] for the taps, on the symbol grid
-    rwin = _windows(2.0 * w[:, None] * resid, f, n_os)    # (n_sym, pol, F)
-    rflat = rwin.reshape(rwin.shape[0], -1)
-    g_mean = _taps_dot(np.conj(h).transpose(1, 0, 2).reshape(pol, -1), rflat).T
+    np.multiply(2.0 * w[:, None], resid, out=ctx.r)
+    rflat = ctx.r_win.reshape(ctx.r_win.shape[0], -1)     # (n_sym, pol F)
+    g_mean = _taps_dot(np.conj(h).transpose(1, 0, 2).reshape(pol, -1), rflat)  # (n_sym, pol)
     g_h = (np.conj(mean) @ rflat).reshape(pol, pol, f).transpose(1, 0, 2)
     # variance term
     g_h += 2.0 * w[:, None, None] * h * spread[None]
     g_var = _taps_dot((w @ h_sq.reshape(pol, -1)).reshape(pol, f), mwin).T
     # chain E[x] and Var[x] = E[x^2] - E[x]^2 per component back to q
-    g_ex = np.stack([g_mean.real, g_mean.imag], axis=1) - 2.0 * ex * g_var[:, None]
-    g_q += (g_ex[..., None] * c.levels
-            + g_var[:, None, :, None] * c.levels ** 2)
+    g_ex = _components(g_mean) - 2.0 * ex * g_var[:, None]
+    g_lev = g_ex[..., None] * c.levels
+    g_lev += g_var[:, None, :, None] * lev_sq
+    g_q += g_lev
 
     bd = LossBreakdown(a_kl=float(a_kl.sum()),
-                       c_dist=tuple(float(v) for v in c_vals),
+                       c_dist=tuple(c_vals.tolist()),
                        sigma_sq=float(c_vals.sum()) / (pol * n_eff),
                        total=total, n_eff=n_eff)
     return bd, g_q, g_h
+
+
+def _components(z: np.ndarray) -> np.ndarray:
+    """The (re, im) parts of a contiguous (n, pol) complex array as a
+    (pol, 2, n) float view: what stacking z.T.real and z.T.imag gives."""
+    return z.view(np.float64).reshape(*z.shape, 2).transpose(1, 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,38 +438,42 @@ class VaeLeState:
 
 
 def vae_le_grads(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
-                 c: Constellation):
+                 c: Constellation, ctx: LossContext | None = None):
     """The batch loss of the linear decoder and its gradients.
 
     ``win`` holds the batch's equalizer windows, (n_b, pol, f_eq), and
-    ``rx_batch`` its samples, (pol, n_b * n_os).  Returns (equalized symbols
-    (pol, n_b), LossBreakdown, dL/d equalizer taps, dL/d channel taps).
+    ``rx_batch`` its samples, (pol, n_b * n_os); ``ctx`` is passed on to
+    ``vae_loss``.  Returns (equalized symbols (pol, n_b), LossBreakdown,
+    dL/d equalizer taps, dL/d channel taps).
     """
-    x_hat = _filter_windows(state.eq.taps, win)
+    wflat = win.reshape(win.shape[0], -1)
+    x_hat = _filter_windows(state.eq.taps, wflat)
     pol, n_sym = x_hat.shape
     # the demapper sees per-component noise: half of the complex variance
     s2 = 0.5 * state.sigma_sq
     q = soft_demap(x_hat.ravel(), c, s2, state.matched_demapper)
     q = q.reshape(pol, n_sym, 2, -1).transpose(0, 2, 1, 3)
     bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch.taps, c, state.n_os,
-                             edge_trim=state.f_ch // 2)
+                             state.f_ch // 2, ctx)
     # back through the softmax and its logits -(x - a)^2 / (2 s2)
-    g_logit = q * (g_q - (q * g_q).sum(axis=-1, keepdims=True))
-    comps = np.stack([x_hat.real, x_hat.imag], axis=1)
+    g_q -= (q * g_q).sum(axis=-1, keepdims=True)
+    g_logit = np.multiply(q, g_q, out=g_q)
+    comps = _components(x_hat.T)
     g_comp = (g_logit * (c.levels - comps[..., None])).sum(axis=-1) / s2
     gx = g_comp[:, 0] + 1j * g_comp[:, 1]
     # and through x_hat = flipped taps x windows
-    g_eq = (gx @ np.conj(win.reshape(n_sym, -1))).reshape(state.eq.taps.shape)
+    g_eq = (gx @ np.conj(wflat)).reshape(state.eq.taps.shape)
     return x_hat, bd, g_eq[:, :, ::-1], g_ch
 
 
 def vae_le_step(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
-                c: Constellation, schedule: UpdateSchedule, lr: float | None = None):
+                c: Constellation, schedule: UpdateSchedule, lr: float | None = None,
+                ctx: LossContext | None = None):
     """One mini-batch update; returns (first n_flex symbols per pol, breakdown).
 
-    ``win`` and ``rx_batch`` are as for ``vae_le_grads``.
+    ``win``, ``rx_batch`` and ``ctx`` are as for ``vae_le_grads``.
     """
-    x_hat, bd, g_eq, g_ch = vae_le_grads(state, win, rx_batch, c)
+    x_hat, bd, g_eq, g_ch = vae_le_grads(state, win, rx_batch, c, ctx)
     if not np.isfinite(bd.total):
         raise DivergenceError(state.batch_count)
     state.adam.step([_real_view(g_eq), _real_view(g_ch)],
@@ -480,26 +534,28 @@ def vae_nn_forward(rx: np.ndarray, state: VaeNnState):
     return ad.softmax_groups(logits, state.n_levels), (x, a1, h)
 
 
-def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation):
+def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
+                 ctx: LossContext | None = None):
     """The batch loss of the CNN decoder and its gradients.
 
     The closed-form dL/dq goes back through the decoder in one
-    ``ad.backward`` call.  Returns (q, LossBreakdown, dL/d (w1, b1, w2, b2),
-    dL/d channel taps).
+    ``ad.backward`` call; ``ctx`` is passed on to ``vae_loss``.  Returns
+    (q, LossBreakdown, dL/d (w1, b1, w2, b2), dL/d channel taps).
     """
     q_cnn, (x, a1, h) = vae_nn_forward(rx_batch, state)
     q = q_cnn.reshape(state.n_pol, 2, -1, state.n_levels)
     bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch.taps, c, state.n_os,
-                             edge_trim=state.f_ch // 2)
+                             state.f_ch // 2, ctx)
     g_net = ad.backward(x, state.w1, a1, h, state.w2, state.n_os, q_cnn,
                         g_q.reshape(q_cnn.shape))
     return q, bd, g_net, g_ch
 
 
 def vae_nn_step(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
-                schedule: UpdateSchedule, lr: float | None = None):
+                schedule: UpdateSchedule, lr: float | None = None,
+                ctx: LossContext | None = None):
     """One CNN-decoder mini-batch; emits soft symbols E_Q[x] per pol."""
-    q, bd, g_net, g_ch = vae_nn_grads(state, rx_batch, c)
+    q, bd, g_net, g_ch = vae_nn_grads(state, rx_batch, c, ctx)
     if not np.isfinite(bd.total):
         raise DivergenceError(state.batch_count)
     state.adam.step([*g_net, _real_view(g_ch)], schedule.lr if lr is None else lr)
@@ -546,6 +602,8 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
     is_le = isinstance(state, VaeLeState)
     if is_le:
         win = _windows(rx, state.f_eq, n_os)
+    ctx = LossContext(state.n_pol, schedule.n_b * n_os, state.f_ch, n_os,
+                      state.f_ch // 2)
     traj = []
     t = 0
     while t + schedule.n_b <= n_sym:
@@ -554,9 +612,9 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
               else schedule.lr)
         if is_le:
             emitted, bd = vae_le_step(state, win[t: t + schedule.n_b], batch, c,
-                                      schedule, lr=lr)
+                                      schedule, lr=lr, ctx=ctx)
         else:
-            emitted, bd = vae_nn_step(state, batch, c, schedule, lr=lr)
+            emitted, bd = vae_nn_step(state, batch, c, schedule, lr=lr, ctx=ctx)
         out[:, t: t + schedule.n_flex] = emitted
         traj.append((t, bd.sigma_sq))
         t += schedule.n_flex

@@ -151,12 +151,21 @@ def soft_demap(x_hat: np.ndarray, c: Constellation, sigma_sq: float,
     """
     if sigma_sq <= 0:
         raise ConfigError(f"noise variance must be positive, got {sigma_sq}")
-    x_hat = np.asarray(x_hat)
-    comps = np.stack([x_hat.real, x_hat.imag], axis=1)  # (N, 2)
-    logits = -((comps[:, :, None] - c.levels[None, None, :]) ** 2) / (2.0 * sigma_sq)
+    # (N, 2): a complex array's (re, im) pairs, a view when x_hat is one
+    comps = np.ascontiguousarray(x_hat, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    # -(x - a)^2 / (2 s2), computed in place
+    logits = comps[:, :, None] - c.levels
+    np.square(logits, out=logits)
+    np.negative(logits, out=logits)
+    logits /= 2.0 * sigma_sq
     if matched:
-        logits = logits - c.nu_scaled * c.levels[None, None, :] ** 2
-    logits -= logits.max(axis=2, keepdims=True)
-    q = np.exp(logits)
+        logits -= c.nu_scaled * c.levels ** 2
+    # the row maxima, one level at a time: a maximum is exact in any order,
+    # and this beats a reduction over the short last axis
+    peak = logits[:, :, 0].copy()
+    for j in range(1, c.n_levels):
+        np.maximum(peak, logits[:, :, j], out=peak)
+    logits -= peak[:, :, None]
+    q = np.exp(logits, out=logits)
     q /= q.sum(axis=2, keepdims=True)
     return q

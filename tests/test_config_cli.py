@@ -3,7 +3,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +136,19 @@ def test_cli_list_recipes(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == len(cli.RECIPES)
     assert all(name in "\n".join(lines) for name in cli.RECIPES)
+
+
+def test_cli_module_runs_without_import_warning():
+    # `python -m blindeq.cli` must not find blindeq.cli already imported by
+    # the package, which Python reports as a RuntimeWarning
+    src = str(Path(config.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "blindeq.cli",
+                           "list-recipes"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "awgn-64qam" in proc.stdout
 
 
 def test_cli_run_yaml(tmp_path, capsys):

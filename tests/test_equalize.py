@@ -259,6 +259,39 @@ def test_vae_loss_one_hot_oracle():
     assert abs(bd.sigma_sq - c_ref / n) < 1e-12
 
 
+@pytest.mark.parametrize("pol", [1, 2])
+@pytest.mark.parametrize("n_os", [1, 2])
+@pytest.mark.parametrize("edge_trim", [0, 3])
+def test_vae_loss_context_reuse(pol, n_os, edge_trim):
+    # one LossContext over successive batches gives what a fresh context
+    # per call gives; its buffers alias nothing the loss returns, and E[x]'s
+    # samples between symbols (and the padding) stay exact zeros
+    rng = np.random.default_rng(12)
+    c = modem.build_constellation(16, 0.02)
+    n_sym, f = 10, 5
+    n = n_sym * n_os
+    ctx = eq.LossContext(pol, n, f, n_os, edge_trim)
+    returned = []
+    for _ in range(3):
+        rx = rng.standard_normal((pol, n)) + 1j * rng.standard_normal((pol, n))
+        q = rng.random((pol, 2, n_sym, c.n_levels))
+        q /= q.sum(axis=-1, keepdims=True)
+        h = rng.standard_normal((pol, pol, f)) + 1j * rng.standard_normal((pol, pol, f))
+        bd, g_q, g_h = eq.vae_loss(rx, q, h, c, n_os, edge_trim, ctx)
+        bd_fresh, g_q_fresh, g_h_fresh = eq.vae_loss(rx, q, h, c, n_os, edge_trim)
+        assert bd == bd_fresh
+        assert np.array_equal(g_q, g_q_fresh) and np.array_equal(g_h, g_h_fresh)
+        returned.append((g_q, g_h, g_q.copy(), g_h.copy()))
+        ex = q @ c.levels
+        up = np.zeros((pol, n), dtype=complex)
+        up[:, ::n_os] = ex[:, 0] + 1j * ex[:, 1]
+        assert np.array_equal(ctx.up_win, eq._windows(up, f, 1))
+    for g_q, g_h, g_q_then, g_h_then in returned:
+        assert np.array_equal(g_q, g_q_then) and np.array_equal(g_h, g_h_then)
+    with pytest.raises(ValueError):
+        eq.vae_loss(rx, q, h, c, n_os, edge_trim + 1, ctx)
+
+
 def test_vae_le_step_learns_identity_channel():
     rng = np.random.default_rng(10)
     c = modem.build_constellation(4, 0.0)
