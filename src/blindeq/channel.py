@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .sigproc import ComplexSignal, convolve_same, frequency_grid
+from .sigproc import convolve_same, frequency_grid
 
 # complex 5-tap ISI test channel (h1 in the literature)
 H_SIM = np.array([0.055 + 0.05j, 0.283 - 0.12j, -0.768 + 0.279j,
@@ -81,21 +81,19 @@ def oversampled_impulse_response(h_sim: np.ndarray, n_os: int,
     return h
 
 
-def awgn_isi_apply(tx: ComplexSignal, p: ChannelParams, rng: np.random.Generator,
-                   h_over: np.ndarray | None = None) -> ComplexSignal:
+def awgn_isi_apply(tx: np.ndarray, n_os: int, p: ChannelParams,
+                   rng: np.random.Generator) -> np.ndarray:
     """y = h * x + n with an oversampling-aware noise power.
 
     ``tx`` is the already pulse-shaped (or zero-inserted) signal at n_os sps;
-    ``h_over`` is the oversampled impulse response (defaults to the
-    zero-inserted p.h_sim without interpolation).
+    h is p.h_sim zero-inserted to n_os sps, without interpolation.
     """
     if p.h_sim is None or len(p.h_sim) == 0:
         raise ConfigError("awgn_isi_apply requires h_sim taps")
-    h = h_over if h_over is not None else oversampled_impulse_response(p.h_sim, tx.sps)
-    out = convolve_same(tx.samples, h)
+    out = convolve_same(tx, oversampled_impulse_response(p.h_sim, n_os))
     if np.isfinite(p.snr_db):
-        out = add_awgn(out, noise_sigma_sq(out, tx.sps, p.snr_db), rng)
-    return ComplexSignal(out, sps=tx.sps)
+        out = add_awgn(out, noise_sigma_sq(out, n_os, p.snr_db), rng)
+    return out
 
 
 def dp_channel_matrix(f: np.ndarray, p: ChannelParams, gamma_eff: float) -> np.ndarray:
@@ -119,30 +117,21 @@ def dp_channel_matrix(f: np.ndarray, p: ChannelParams, gamma_eff: float) -> np.n
     return h * cd
 
 
-def dp_apply(tx_te: ComplexSignal, tx_tm: ComplexSignal, p: ChannelParams,
-             frame_index: int, rng: np.random.Generator | None = None,
-             add_noise: bool = True) -> tuple[ComplexSignal, ComplexSignal]:
-    """Apply the frequency-domain channel to one frame of samples."""
-    if len(tx_te) != len(tx_tm) or tx_te.sps != tx_tm.sps:
-        raise ConfigError(f"polarization length/sps mismatch: "
-                          f"{len(tx_te)}@{tx_te.sps} vs {len(tx_tm)}@{tx_tm.sps}")
-    f = frequency_grid(len(tx_te), tx_te.sps, p.symbol_rate)
+def dp_apply(tx_te: np.ndarray, tx_tm: np.ndarray, n_os: int, p: ChannelParams,
+             frame_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the frequency-domain channel, noiseless, to one frame of samples
+    at n_os sps."""
+    if tx_te.shape != tx_tm.shape:
+        raise ConfigError(f"polarization length mismatch: {tx_te.shape} vs {tx_tm.shape}")
+    f = frequency_grid(tx_te.shape[0], n_os, p.symbol_rate)
     h = dp_channel_matrix(f, p, p.gamma_eff(frame_index))
-    a = np.fft.fft(tx_te.samples)
-    b = np.fft.fft(tx_tm.samples)
-    out_te = np.fft.ifft(h[0, 0] * a + h[0, 1] * b)
-    out_tm = np.fft.ifft(h[1, 0] * a + h[1, 1] * b)
-    if add_noise and np.isfinite(p.snr_db):
-        if rng is None:
-            raise ConfigError("dp_apply needs an rng to add noise")
-        sig = noise_sigma_sq(np.concatenate([out_te, out_tm]), tx_te.sps, p.snr_db)
-        out_te = add_awgn(out_te, sig, rng)
-        out_tm = add_awgn(out_tm, sig, rng)
-    return ComplexSignal(out_te, tx_te.sps), ComplexSignal(out_tm, tx_tm.sps)
+    a = np.fft.fft(tx_te)
+    b = np.fft.fft(tx_tm)
+    return np.fft.ifft(h[0, 0] * a + h[0, 1] * b), np.fft.ifft(h[1, 0] * a + h[1, 1] * b)
 
 
-def dp_run(tx_te: ComplexSignal, tx_tm: ComplexSignal, p: ChannelParams,
-           rng: np.random.Generator, guard: int = 256) -> tuple[ComplexSignal, ComplexSignal]:
+def dp_run(tx_te: np.ndarray, tx_tm: np.ndarray, n_os: int, p: ChannelParams,
+           rng: np.random.Generator, guard: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Frame-by-frame application with the frame-wise gamma schedule.
 
     Each frame is transformed with guard overlap taken from the neighbouring
@@ -150,9 +139,8 @@ def dp_run(tx_te: ComplexSignal, tx_tm: ComplexSignal, p: ChannelParams,
     inverse transform to avoid inter-frame boundary artifacts.  Noise is
     added once over the assembled stream.
     """
-    n_os = tx_te.sps
     frame_samples = p.n_frame * n_os
-    n_tot = len(tx_te)
+    n_tot = tx_te.shape[0]
     out_te = np.empty(n_tot, dtype=np.complex128)
     out_tm = np.empty(n_tot, dtype=np.complex128)
     n_frames = int(np.ceil(n_tot / frame_samples))
@@ -160,14 +148,13 @@ def dp_run(tx_te: ComplexSignal, tx_tm: ComplexSignal, p: ChannelParams,
         lo, hi = k * frame_samples, min((k + 1) * frame_samples, n_tot)
         glo, ghi = max(lo - guard, 0), min(hi + guard, n_tot)
         pre, post = lo - glo, ghi - hi
-        seg_te = np.pad(tx_te.samples[glo:ghi], (guard - pre, guard - post))
-        seg_tm = np.pad(tx_tm.samples[glo:ghi], (guard - pre, guard - post))
-        r_te, r_tm = dp_apply(ComplexSignal(seg_te, n_os), ComplexSignal(seg_tm, n_os),
-                              p, k, add_noise=False)
-        out_te[lo:hi] = r_te.samples[guard: guard + hi - lo]
-        out_tm[lo:hi] = r_tm.samples[guard: guard + hi - lo]
+        seg_te = np.pad(tx_te[glo:ghi], (guard - pre, guard - post))
+        seg_tm = np.pad(tx_tm[glo:ghi], (guard - pre, guard - post))
+        r_te, r_tm = dp_apply(seg_te, seg_tm, n_os, p, k)
+        out_te[lo:hi] = r_te[guard: guard + hi - lo]
+        out_tm[lo:hi] = r_tm[guard: guard + hi - lo]
     if np.isfinite(p.snr_db):
         sig = noise_sigma_sq(np.concatenate([out_te, out_tm]), n_os, p.snr_db)
         out_te = add_awgn(out_te, sig, rng)
         out_tm = add_awgn(out_tm, sig, rng)
-    return ComplexSignal(out_te, n_os), ComplexSignal(out_tm, n_os)
+    return out_te, out_tm

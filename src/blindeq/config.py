@@ -87,16 +87,26 @@ class ExperimentConfig:
         if not 1 <= self.ma_window <= self.n_ind:
             raise ConfigError(f"need 1 <= ma_window <= n_ind, got "
                               f"{self.ma_window}, {self.n_ind}")
-        if self.kind != "MMSE-genie" and self.taps % 2 == 0:
-            raise ConfigError(f"taps must be odd, got {self.taps}")
-        if self.ch_taps is not None and self.ch_taps % 2 == 0:
-            raise ConfigError(f"ch_taps must be odd, got {self.ch_taps}")
-        if self.kind == "MMSE-genie" and self.variant != "awgn_isi":
-            raise ConfigError("MMSE-genie runs on a single channel (awgn_isi)")
-        self.effective_nu()  # the entropy range
-        if self.kind == "VAE-NN" and (self.k1 % 2 == 0 or self.k2 not in (3, 5)):
-            raise ConfigError(f"VAE-NN needs an odd k1 and k2 in {{3, 5}}, "
-                              f"got {self.k1}, {self.k2}")
+        flex = 1 if self.flex_symbols is None else self.flex_symbols
+        if min(self.n_run, self.n_frame, self.n_os, self.batch_symbols, flex) < 1:
+            raise ConfigError(f"need n_run, n_frame, n_os, batch_symbols and flex_symbols "
+                              f">= 1, got {self.n_run}, {self.n_frame}, {self.n_os}, "
+                              f"{self.batch_symbols}, {self.flex_symbols}")
+        modem.build_constellation(self.m, self.effective_nu())  # m, nu, entropy
+        _pulse(self)  # the RRC roll-off and span
+        if self.kind != "MMSE-genie":
+            eq.dirac_taps(1, self.taps)  # odd lengths
+        if self.ch_taps is not None:
+            eq.dirac_taps(1, self.ch_taps)
+        if self.kind == "MMSE-genie" and (self.variant != "awgn_isi" or self.mmse_taps < 1):
+            raise ConfigError(f"MMSE-genie runs on a single channel (awgn_isi) with "
+                              f"mmse_taps >= 1, got {self.variant}, {self.mmse_taps}")
+        if self.kind.startswith("CMA") and (self.cpe_window < 1 or self.cpe_window % 2 == 0):
+            raise ConfigError(f"cpe_window must be positive and odd, got {self.cpe_window}")
+        if self.kind == "VAE-NN" and (self.k1 % 2 == 0 or self.k2 not in (3, 5)
+                                      or (self.hidden is not None and self.hidden < 1)):
+            raise ConfigError(f"VAE-NN needs an odd k1, k2 in {{3, 5}} and hidden "
+                              f">= 1, got {self.k1}, {self.k2}, {self.hidden}")
         if self.kind in ("VAE-LE", "VAE-NN", "VAEflex"):
             _update_schedule(self)  # 1 <= n_flex <= n_b, as the run needs
             if self.n_ind * self.n_frame < self.batch_symbols:
@@ -161,25 +171,18 @@ def _pulse(cfg: ExperimentConfig) -> np.ndarray | None:
 def _transmit(cfg: ExperimentConfig, c: modem.Constellation,
               rng: np.random.Generator):
     """Per-pol symbol streams and the pulse-shaped sample streams."""
-    n_sym = cfg.n_ind * cfg.n_frame
-    tx_sym, tx_sig = [], []
+    tx_sym = np.stack([modem.sample_symbols(c, cfg.n_ind * cfg.n_frame, rng)
+                       for _ in range(cfg.n_pol)])
     rrc = _pulse(cfg)
-    for _ in range(cfg.n_pol):
-        s = modem.sample_symbols(c, n_sym, rng)
-        tx_sym.append(s.samples)
-        if rrc is not None:
-            tx_sig.append(sigproc.shape(s, rrc, cfg.n_os))
-        else:
-            tx_sig.append(sigproc.upsample_zero_insert(s, cfg.n_os))
-    return np.stack(tx_sym), tx_sig
+    tx_sig = [sigproc.upsample_zero_insert(s, cfg.n_os) if rrc is None
+              else sigproc.shape(s, rrc, cfg.n_os) for s in tx_sym]
+    return tx_sym, tx_sig
 
 
 def _propagate(cfg: ExperimentConfig, tx_sig, params, rng):
     if cfg.variant == "dp_optical":
-        r_te, r_tm = ch.dp_run(tx_sig[0], tx_sig[1], params, rng)
-        return np.stack([r_te.samples, r_tm.samples])
-    out = ch.awgn_isi_apply(tx_sig[0], params, rng)
-    return out.samples[None, :]
+        return np.stack(ch.dp_run(tx_sig[0], tx_sig[1], cfg.n_os, params, rng))
+    return ch.awgn_isi_apply(tx_sig[0], cfg.n_os, params, rng)[None, :]
 
 
 def _update_schedule(cfg: ExperimentConfig) -> eq.UpdateSchedule:
@@ -218,13 +221,11 @@ def _equalize(cfg: ExperimentConfig, rx: np.ndarray, c, tx_sym, rng) -> eq.Equal
 
 
 def _per_frame_sigma(cfg, sigma_traj):
-    """Map the update-time noise-variance trajectory onto the frame grid."""
-    out = np.empty(cfg.n_ind)
-    for k in range(cfg.n_ind):
-        lo, hi = k * cfg.n_frame, (k + 1) * cfg.n_frame
-        in_frame = sigma_traj[(sigma_traj[:, 0] >= lo) & (sigma_traj[:, 0] < hi), 1]
-        out[k] = in_frame[-1] if in_frame.size else sigma_traj[-1, 1]
-    return out
+    """Map the update-time noise-variance trajectory onto the frame grid: each
+    frame takes the sigma^2 of the latest update that starts before its end
+    (the first update starts at symbol 0)."""
+    ends = np.arange(1, cfg.n_ind + 1) * cfg.n_frame
+    return sigma_traj[np.searchsorted(sigma_traj[:, 0], ends) - 1, 1]
 
 
 def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
@@ -268,10 +269,10 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
     }
     if res.sigma_traj is not None:
         record["snr_est_db"] = ev.snr_report(sig_frames)
-    if res.ch_filter is not None and cfg.variant == "awgn_isi":
+    if res.ch_taps is not None and cfg.variant == "awgn_isi":
         # the channel model learns the pulse convolved with the channel
         h_true = ch.oversampled_impulse_response(params.h_sim, cfg.n_os, _pulse(cfg))
-        rep = ev.ip_report(res.ch_filter.taps[0, 0], h_true)
+        rep = ev.ip_report(res.ch_taps[0, 0], h_true)
         record["ip_nmse_db"] = rep.nmse_db
     return record
 

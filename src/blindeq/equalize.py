@@ -22,39 +22,21 @@ from .sigproc import convolve_same
 # butterfly filters
 
 
-@dataclass
-class ButterflyFilter:
-    """n_pol x n_pol bank of complex FIR taps, shape (pol, pol, F), F odd."""
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        self.taps = np.asarray(self.taps, dtype=np.complex128)
-        if self.taps.ndim != 3 or self.taps.shape[0] != self.taps.shape[1]:
-            raise ConfigError(f"expected (pol, pol, F) taps, got {self.taps.shape}")
-        if self.taps.shape[2] % 2 == 0:
-            raise ConfigError(f"filter length must be odd, got {self.taps.shape[2]}")
-
-    @property
-    def n_pol(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def n_taps(self) -> int:
-        return self.taps.shape[2]
-
-    @classmethod
-    def dirac(cls, n_pol: int, n_taps: int) -> "ButterflyFilter":
-        taps = np.zeros((n_pol, n_pol, n_taps), dtype=np.complex128)
-        taps[np.arange(n_pol), np.arange(n_pol), n_taps // 2] = 1.0
-        return cls(taps)
+def dirac_taps(n_pol: int, n_taps: int) -> np.ndarray:
+    """The identity butterfly: (pol, pol, F) complex taps, F odd, with a unit
+    center tap on the diagonal."""
+    if n_taps < 1 or n_taps % 2 == 0:
+        raise ConfigError(f"filter length must be odd and positive, got {n_taps}")
+    taps = np.zeros((n_pol, n_pol, n_taps), dtype=np.complex128)
+    taps[np.arange(n_pol), np.arange(n_pol), n_taps // 2] = 1.0
+    return taps
 
 
 def _filter_windows(taps: np.ndarray, win: np.ndarray) -> np.ndarray:
     """Convolve a block of (n, pol, F) windows, or their (n, pol * F)
-    flattening, with (pol, pol, F) taps; returns (pol, n)."""
-    # the windows, like the CMA taps, are correlation-oriented; the VAE
-    # (ButterflyFilter) taps are convolution-oriented, hence the flip
+    flattening, with (pol, pol, F) convolution-oriented taps; returns
+    (pol, n)."""
+    # the windows, like the CMA taps, are correlation-oriented, hence the flip
     flipped = taps[:, :, ::-1].reshape(taps.shape[0], -1)
     return _taps_dot(flipped, win.reshape(win.shape[0], -1)).T
 
@@ -130,7 +112,10 @@ def lr_schedule(k: int, eps0: float) -> float:
 def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
             n_frame: int = 10_000, scheduler: bool = False,
             n_batch: int | None = None, n_flex: int | None = None):
-    """Run a CMA over a sample stream; returns (out, filt, singularity_corr).
+    """Run a CMA over a sample stream; returns (out, taps, singularity_corr).
+
+    The taps, (pol, pol, F), are correlation-oriented: output p at symbol k
+    is sum_q,t taps[p, q, t] rx[q, k sps - F // 2 + t].
 
     The taps are fixed for the first n_b symbols.  After that they are
     updated every n_flex symbols by mu times the mean of the last n_b Godard
@@ -143,8 +128,8 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
     rx = _unit_power(np.atleast_2d(rx))
     pol = rx.shape[0]
     r2 = godard_radius(c)
-    filt = ButterflyFilter.dirac(pol, n_taps)
-    taps_mat = filt.taps.reshape(pol, pol * n_taps)
+    taps = dirac_taps(pol, n_taps)
+    taps_mat = taps.reshape(pol, pol * n_taps)  # a view: its updates reach taps
     win = _windows(rx, n_taps, sps)
     n_sym = win.shape[0]
     out = np.empty((pol, n_sym), dtype=np.complex128)
@@ -179,17 +164,17 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
                 update += n_flex
             lo = hi
     if pol == 1:
-        return out, filt, 0.0
-    corr = (_singularity_correlation(filt) if np.all(np.isfinite(filt.taps))
+        return out, taps, 0.0
+    corr = (_singularity_correlation(taps) if np.all(np.isfinite(taps))
             else float("nan"))
-    return out, filt, corr
+    return out, taps, corr
 
 
-def _singularity_correlation(filt: ButterflyFilter) -> float:
-    """Normalized correlation between the two output filter rows; values near
-    1 indicate both outputs converged to the same polarization."""
-    a = filt.taps[0].ravel()
-    b = filt.taps[1].ravel()
+def _singularity_correlation(taps: np.ndarray) -> float:
+    """Normalized correlation between the two output rows of (2, 2, F) taps;
+    values near 1 indicate both outputs converged to the same polarization."""
+    a = taps[0].ravel()
+    b = taps[1].ravel()
     return float(np.abs(a @ np.conj(b)) / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-30))
 
 
@@ -418,21 +403,19 @@ class UpdateSchedule:
 
 
 class VaeLeState:
-    """Butterfly equalizer and channel model trained by variational inference."""
+    """Butterfly equalizer ``eq`` and channel model ``ch`` trained by
+    variational inference: (pol, pol, F) complex taps, both convolution-
+    oriented, (h * x)[p, n] = sum_q,t h[p, q, t] x[q, n + F // 2 - t]."""
 
     def __init__(self, n_pol: int, n_os: int, f_eq: int, f_ch: int | None = None,
                  matched_demapper: bool = True):
-        if f_eq % 2 == 0:
-            raise ConfigError(f"equalizer length must be odd, got {f_eq}")
         f_ch = f_eq if f_ch is None else f_ch
-        if f_ch % 2 == 0:
-            raise ConfigError(f"channel-model length must be odd, got {f_ch}")
         self.n_pol, self.n_os = n_pol, n_os
         self.f_eq, self.f_ch = f_eq, f_ch
         self.matched_demapper = matched_demapper
-        self.eq = ButterflyFilter.dirac(n_pol, f_eq)
-        self.ch = ButterflyFilter.dirac(n_pol, f_ch)
-        self.adam = Adam([self.eq.taps.view(np.float64), self.ch.taps.view(np.float64)])
+        self.eq = dirac_taps(n_pol, f_eq)
+        self.ch = dirac_taps(n_pol, f_ch)
+        self.adam = Adam([self.eq.view(np.float64), self.ch.view(np.float64)])
         self.sigma_sq = 1.0          # unit signal energy before the first batch
         self.batch_count = 0
 
@@ -447,13 +430,13 @@ def vae_le_grads(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
     dL/d equalizer taps, dL/d channel taps).
     """
     wflat = win.reshape(win.shape[0], -1)
-    x_hat = _filter_windows(state.eq.taps, wflat)
+    x_hat = _filter_windows(state.eq, wflat)
     pol, n_sym = x_hat.shape
     # the demapper sees per-component noise: half of the complex variance
     s2 = 0.5 * state.sigma_sq
     q = soft_demap(x_hat.ravel(), c, s2, state.matched_demapper)
     q = q.reshape(pol, n_sym, 2, -1).transpose(0, 2, 1, 3)
-    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch.taps, c, state.n_os,
+    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch, c, state.n_os,
                              state.f_ch // 2, ctx)
     # back through the softmax and its logits -(x - a)^2 / (2 s2)
     g_q -= (q * g_q).sum(axis=-1, keepdims=True)
@@ -462,7 +445,7 @@ def vae_le_grads(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
     g_comp = (g_logit * (c.levels - comps[..., None])).sum(axis=-1) / s2
     gx = g_comp[:, 0] + 1j * g_comp[:, 1]
     # and through x_hat = flipped taps x windows
-    g_eq = (gx @ np.conj(wflat)).reshape(state.eq.taps.shape)
+    g_eq = (gx @ np.conj(wflat)).reshape(state.eq.shape)
     return x_hat, bd, g_eq[:, :, ::-1], g_ch
 
 
@@ -474,13 +457,19 @@ def vae_le_step(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
     ``win``, ``rx_batch`` and ``ctx`` are as for ``vae_le_grads``.
     """
     x_hat, bd, g_eq, g_ch = vae_le_grads(state, win, rx_batch, c, ctx)
+    _update(state, bd, [_real_view(g_eq), _real_view(g_ch)], schedule, lr)
+    return x_hat[:, : schedule.n_flex], bd
+
+
+def _update(state, bd: LossBreakdown, grads, schedule: UpdateSchedule,
+            lr: float | None) -> None:
+    """The step both decoders share: stop on a non-finite loss, else one Adam
+    step and the new sigma^2 and batch count."""
     if not np.isfinite(bd.total):
         raise DivergenceError(state.batch_count)
-    state.adam.step([_real_view(g_eq), _real_view(g_ch)],
-                    schedule.lr if lr is None else lr)
+    state.adam.step(grads, schedule.lr if lr is None else lr)
     state.sigma_sq = bd.sigma_sq
     state.batch_count += 1
-    return x_hat[:, : schedule.n_flex], bd
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +502,8 @@ class VaeNnState:
         self.b1 = np.zeros((self.hidden, 1))
         self.w2 = s2 * rng.standard_normal((n_out, self.hidden, k2))
         self.b2 = np.zeros((n_out, 1))
-        self.ch = ButterflyFilter.dirac(n_pol, f_ch)
-        self.adam = Adam([self.w1, self.b1, self.w2, self.b2,
-                          self.ch.taps.view(np.float64)])
+        self.ch = dirac_taps(n_pol, f_ch)
+        self.adam = Adam([self.w1, self.b1, self.w2, self.b2, self.ch.view(np.float64)])
         self.sigma_sq = 1.0
         self.batch_count = 0
         self.f_ch = f_ch
@@ -544,7 +532,7 @@ def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
     """
     q_cnn, (x, a1, h) = vae_nn_forward(rx_batch, state)
     q = q_cnn.reshape(state.n_pol, 2, -1, state.n_levels)
-    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch.taps, c, state.n_os,
+    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch, c, state.n_os,
                              state.f_ch // 2, ctx)
     g_net = ad.backward(x, state.w1, a1, h, state.w2, state.n_os, q_cnn,
                         g_q.reshape(q_cnn.shape))
@@ -556,11 +544,7 @@ def vae_nn_step(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
                 ctx: LossContext | None = None):
     """One CNN-decoder mini-batch; emits soft symbols E_Q[x] per pol."""
     q, bd, g_net, g_ch = vae_nn_grads(state, rx_batch, c, ctx)
-    if not np.isfinite(bd.total):
-        raise DivergenceError(state.batch_count)
-    state.adam.step([*g_net, _real_view(g_ch)], schedule.lr if lr is None else lr)
-    state.sigma_sq = bd.sigma_sq
-    state.batch_count += 1
+    _update(state, bd, [*g_net, _real_view(g_ch)], schedule, lr)
     return _soft_symbols(q, c)[:, : schedule.n_flex], bd
 
 
@@ -579,11 +563,12 @@ def _soft_symbols(q: np.ndarray, c: Constellation) -> np.ndarray:
 class EqualizerResult:
     """One equalizer pass; a kind leaves the fields it does not produce at
     their defaults (MMSE-genie sets only ``out``, the CMA family also
-    ``singularity_corr``)."""
+    ``singularity_corr``).  ``ch_taps`` is the VAE's (pol, pol, F) channel
+    model, convolution-oriented like ``VaeLeState.ch``."""
 
     out: np.ndarray                       # (pol, n_sym) equalized symbols
     sigma_traj: np.ndarray = None         # (n_updates, 2): symbol pos, sigma^2
-    ch_filter: ButterflyFilter = None     # channel-model estimate (VAE only)
+    ch_taps: np.ndarray = None            # channel-model estimate (VAE only)
     singularity_corr: float = 0.0
 
 
@@ -620,7 +605,7 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
         t += schedule.n_flex
     # tail shorter than a batch: the final weights, no update, with left context
     if t < n_sym and is_le:
-        out[:, t:] = _filter_windows(state.eq.taps, win[t:n_sym])
+        out[:, t:] = _filter_windows(state.eq, win[t:n_sym])
     elif t < n_sym:
         lo = max(n_sym - schedule.n_b, 0)
         q, _ = vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state)
@@ -628,4 +613,4 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
     corr = (_singularity_correlation(state.eq)
             if is_le and state.n_pol == 2 else 0.0)
     return EqualizerResult(out=out, sigma_traj=np.array(traj),
-                           ch_filter=state.ch, singularity_corr=corr)
+                           ch_taps=state.ch, singularity_corr=corr)

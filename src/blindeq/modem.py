@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .sigproc import ComplexSignal
 
 
 @dataclass(frozen=True)
@@ -83,13 +82,13 @@ def nu_for_entropy(m: int, h_target: float, tol: float = 1e-9) -> float:
             hi = mid
 
 
-def sample_symbols(c: Constellation, n: int, rng: np.random.Generator) -> ComplexSignal:
+def sample_symbols(c: Constellation, n: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. symbols at 1 sample/symbol, I and Q drawn independently."""
     if n <= 0:
         raise ConfigError(f"symbol count must be positive, got {n}")
     i_lev = rng.choice(c.n_levels, size=n, p=c.prior)
     q_lev = rng.choice(c.n_levels, size=n, p=c.prior)
-    return ComplexSignal(c.levels[i_lev] + 1j * c.levels[q_lev], sps=1)
+    return c.levels[i_lev] + 1j * c.levels[q_lev]
 
 
 def symbol_indices(c: Constellation, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,29 +3,9 @@ channel models and the equalizers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
-
-
-@dataclass
-class ComplexSignal:
-    """A sequence of complex samples with its samples-per-symbol factor."""
-
-    samples: np.ndarray
-    sps: int = 1
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 1:
-            raise ConfigError(f"expected a 1-D sample vector, got shape {self.samples.shape}")
-        if self.sps < 1:
-            raise ConfigError(f"samples per symbol must be >= 1, got {self.sps}")
-
-    def __len__(self):
-        return self.samples.shape[0]
 
 
 def rrc_taps(alpha: float, span: int, sps: int) -> np.ndarray:
@@ -58,15 +38,13 @@ def rrc_taps(alpha: float, span: int, sps: int) -> np.ndarray:
     return h / np.linalg.norm(h)
 
 
-def upsample_zero_insert(x: ComplexSignal, n_os: int) -> ComplexSignal:
-    """Insert (n_os - 1) zeros between consecutive samples."""
+def upsample_zero_insert(x: np.ndarray, n_os: int) -> np.ndarray:
+    """Insert (n_os - 1) zeros between consecutive samples; a new array."""
     if n_os < 1:
         raise ConfigError(f"oversampling factor must be >= 1, got {n_os}")
-    if n_os == 1:
-        return ComplexSignal(x.samples.copy(), sps=x.sps)
-    out = np.zeros(len(x) * n_os, dtype=np.complex128)
-    out[::n_os] = x.samples
-    return ComplexSignal(out, sps=x.sps * n_os)
+    out = np.zeros(x.shape[0] * n_os, dtype=np.complex128)
+    out[::n_os] = x
+    return out
 
 
 def convolve_same(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -76,12 +54,10 @@ def convolve_same(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return full[start: start + len(x)]
 
 
-def shape(symbols: ComplexSignal, rrc: np.ndarray, n_os: int) -> ComplexSignal:
-    """Zero-insert to n_os sps, then pulse-shape with centered convolution."""
-    if symbols.sps != 1:
-        raise ConfigError(f"shape expects symbols at 1 sps, got {symbols.sps}")
-    up = upsample_zero_insert(symbols, n_os)
-    return ComplexSignal(convolve_same(up.samples, rrc), sps=n_os)
+def shape(symbols: np.ndarray, rrc: np.ndarray, n_os: int) -> np.ndarray:
+    """Zero-insert symbols (1 sps) to n_os sps, then pulse-shape with
+    centered convolution."""
+    return convolve_same(upsample_zero_insert(symbols, n_os), rrc)
 
 
 def frequency_grid(n: int, n_os: int, symbol_rate: float) -> np.ndarray:

@@ -166,7 +166,7 @@ def tiny_nn_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
 
     def loss():
         q = eq.vae_nn_forward(rx, state)[0].reshape(n_pol, 2, n_b, -1)
-        return eq.vae_loss(rx, q, state.ch.taps, c, n_os, edge_trim=state.f_ch // 2)[0].total
+        return eq.vae_loss(rx, q, state.ch, c, n_os, edge_trim=state.f_ch // 2)[0].total
 
     def grads():
         _, _, g_net, g_ch = eq.vae_nn_grads(state, rx, c)
@@ -240,16 +240,16 @@ def resolve_ambiguity_exhaustive(x_hat, ref, c, sigma_sq, max_shift=50,
 # ---------------------------------------------------------------------------
 # references
 
-def butterfly_apply(rx: np.ndarray, filt: eq.ButterflyFilter, stride: int = 1) -> np.ndarray:
+def butterfly_apply(rx: np.ndarray, taps: np.ndarray, stride: int = 1) -> np.ndarray:
     """Centered 2x2 (or 1x1) MIMO convolution of a whole stream with strided
     downsampling, through the equalizers' windowing path.
 
     rx has shape (pol, n_samples); returns (pol, ceil(n_samples / stride)).
     """
     pol = rx.shape[0]
-    if pol != filt.n_pol:
-        raise ConfigError(f"input has {pol} polarizations, filter {filt.n_pol}")
-    return eq._filter_windows(filt.taps, eq._windows(rx, filt.n_taps, stride))
+    if pol != taps.shape[0]:
+        raise ConfigError(f"input has {pol} polarizations, filter {taps.shape[0]}")
+    return eq._filter_windows(taps, eq._windows(rx, taps.shape[2], stride))
 
 
 def qam_awgn_ser(m: int, snr_db: float) -> float:

@@ -38,11 +38,11 @@ def _mmse_gate_ser(snr_db: float, nu: float, seed: int,
     c = modem.build_constellation(64, nu)
     s = modem.sample_symbols(c, n, rng)
     p = ch.ChannelParams(h_sim=ch.H_SIM.copy(), snr_db=snr_db)
-    rx = ch.awgn_isi_apply(s, p, rng)
-    _, out, _ = eq.mmse_baseline(rx.samples, s.samples, n_taps=20, sps=1)
+    rx = ch.awgn_isi_apply(s, 1, p, rng)
+    _, out, _ = eq.mmse_baseline(rx, s, n_taps=20, sps=1)
     sl = slice(50, -50)
     i, q = modem.map_decide(out[sl], c, 10.0 ** (-snr_db / 10.0) / 2.0)
-    ri, rq = modem.symbol_indices(c, s.samples[sl])
+    ri, rq = modem.symbol_indices(c, s[sl])
     return float(np.mean((i != ri) | (q != rq)))
 
 
@@ -219,9 +219,9 @@ def test_criterion_03_no_isi_ser():
         for snr in (12.0, 16.0, 20.0):
             s = modem.sample_symbols(c, n, rng)
             sig = 10.0 ** (-snr / 10.0)
-            y = ch.add_awgn(s.samples, sig, rng)
+            y = ch.add_awgn(s, sig, rng)
             i, q = modem.map_decide(y, c, sig / 2.0)
-            ri, rq = modem.symbol_indices(c, s.samples)
+            ri, rq = modem.symbol_indices(c, s)
             p_hat = float(np.mean((i != ri) | (q != rq)))
             p_ref = qam_awgn_ser(m, snr)
             sd = np.sqrt(p_ref * (1.0 - p_ref) / n)

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +190,18 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     {"kind": "VAE-NN", "k2": 7},
     {"kind": "VAE-NN", "k1": 4},
     {"k1": 4, "sweep": {"kind": ["CMA", "VAE-NN"]}},   # only the 2nd point is bad
+    {"n_run": 0},
+    {"kind": "CMAbatch", "batch_symbols": 0},
+    {"kind": "CMAflex", "flex_symbols": 0},
+    {"cpe_window": 500},
+    {"m": 10},
+    {"nu": -1},
+    {"n_os": 0},
+    {"n_frame": 0},
+    {"shaping": "rrc", "rolloff": 2},
+    {"shaping": "rrc", "rrc_span": 3},
+    {"kind": "VAE-NN", "hidden": 0},
+    {"kind": "MMSE-genie", "mmse_taps": 0},
 ])
 def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad):
     def no_run(*args):
@@ -205,6 +217,34 @@ def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad
     with pytest.raises(ConfigError):
         config.from_dict(dict(raw, **bad))
     config.from_dict(dict(raw, sweep={"taps": [11, 13]}))
+
+
+def test_cli_recipe_runs_with_overrides(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def fake_run(cfg, out_dir, workers=None):
+        seen.append(cfg)
+        return {"summary": []}
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    out = tmp_path / "res"
+    assert cli.main(["recipe", "dp-pcs", "--n-ind", "12", "--n-run", "1",
+                     "--seed", "9", "--out", str(out)]) == 0
+    assert f"results written to {out}" in capsys.readouterr().out
+    (cfg,) = seen
+    assert (cfg.n_ind, cfg.n_run, cfg.seed) == (12, 1, 9)
+    recipe = cli.RECIPES["dp-pcs"]
+    for f in fields(recipe):
+        if f.name not in ("n_ind", "n_run", "seed"):
+            assert getattr(cfg, f.name) == getattr(recipe, f.name), f.name
+
+
+def test_per_frame_sigma_uses_no_later_update():
+    # a batch spans 2.5 frames: frames 1, 3 and 4 see no update start, and
+    # take the latest one before their end, not the run's last
+    cfg = config.ExperimentConfig(seed=1, kind="VAE-LE", m=16, batch_symbols=2500,
+                                  n_frame=1000, n_ind=8, ma_window=8)
+    traj = np.array([[0, .5], [2500, .2], [5000, .1]])
+    assert config._per_frame_sigma(cfg, traj).tolist() == [.5, .5, .2, .2, .2, .1, .1, .1]
 
 
 def test_cli_recipe_overrides_parse():

@@ -8,7 +8,7 @@ from blindeq import channel as ch
 from blindeq import equalize as eq
 from blindeq import evaluate as ev
 from blindeq import modem, sigproc
-from blindeq.errors import ConfigError
+from blindeq.errors import ConfigError, DivergenceError
 from helpers import butterfly_apply, vae_nn_forward_loop
 
 
@@ -26,13 +26,13 @@ def test_godard_radius():
 def test_butterfly_dirac_is_identity():
     rng = np.random.default_rng(0)
     rx = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
-    filt = eq.ButterflyFilter.dirac(2, 7)
-    out = butterfly_apply(rx, filt, stride=2)
+    taps = eq.dirac_taps(2, 7)
+    out = butterfly_apply(rx, taps, stride=2)
     assert np.allclose(out, rx[:, ::2])
     with pytest.raises(ConfigError):
-        eq.ButterflyFilter(np.zeros((2, 2, 6)))  # even length
+        eq.dirac_taps(2, 6)  # even length
     with pytest.raises(ConfigError):
-        butterfly_apply(rx[:1], filt)
+        butterfly_apply(rx[:1], taps)
 
 
 @pytest.mark.parametrize("pol", [1, 2])
@@ -42,7 +42,7 @@ def test_butterfly_apply_random_taps(pol, stride):
     rng = np.random.default_rng(12)
     rx = rng.standard_normal((pol, 41)) + 1j * rng.standard_normal((pol, 41))
     taps = rng.standard_normal((pol, pol, 5)) + 1j * rng.standard_normal((pol, pol, 5))
-    out = butterfly_apply(rx, eq.ButterflyFilter(taps), stride=stride)
+    out = butterfly_apply(rx, taps, stride=stride)
     ref = np.stack([sum(sigproc.convolve_same(rx[q], taps[p, q]) for q in range(pol))
                     for p in range(pol)])[:, ::stride]
     assert out.shape == ref.shape
@@ -65,7 +65,7 @@ def test_cma_step_hand_oracle():
 
 
 def test_cma_step_stationary_on_radius():
-    taps = eq.ButterflyFilter.dirac(2, 1).taps.reshape(2, 2)
+    taps = eq.dirac_taps(2, 1).reshape(2, 2)
     w = np.exp(1j * np.array([[0.3, -1.2], [2.0, 0.7]]))  # |out| = 1 = sqrt(R2)
     out, dirs = eq.cma_block(taps, w, 1.0)
     assert np.allclose(out, w)
@@ -104,15 +104,15 @@ def test_cma_run_schedule_oracle(n_b, n_flex):
     rng = np.random.default_rng(13)
     c = modem.build_constellation(16, 0.0)
     rx = rng.standard_normal((2, 140)) + 1j * rng.standard_normal((2, 140))
-    out, filt, corr = eq.cma_run(rx, c, 5, 0.05, 2, n_frame=3, scheduler=True,
+    out, taps, corr = eq.cma_run(rx, c, 5, 0.05, 2, n_frame=3, scheduler=True,
                                  n_batch=n_b, n_flex=n_flex)
     rx = rx / np.sqrt(np.mean(np.abs(rx) ** 2))
     ref_out, ref_taps = _naive_cma(rx, eq.godard_radius(c), 5, 0.05, 2, 3, True,
                                    n_b or 1, n_flex or n_b or 1)
     # the same arithmetic in the same order, so the same bits
     assert np.array_equal(out, ref_out)
-    assert np.array_equal(filt.taps, ref_taps)
-    assert not np.allclose(filt.taps, eq.ButterflyFilter.dirac(2, 5).taps)
+    assert np.array_equal(taps, ref_taps)
+    assert not np.allclose(taps, eq.dirac_taps(2, 5))
     assert np.isfinite(corr)
 
 
@@ -121,8 +121,8 @@ def test_cma_run_divergence_flags_rest_of_stream():
     c = modem.build_constellation(4, 0.0)
     rx = rng.standard_normal((2, 400)) + 1j * rng.standard_normal((2, 400))
     for n_b in (None, 10):
-        out, filt, corr = eq.cma_run(rx, c, 5, 1e6, 2, n_frame=50, n_batch=n_b)
-        assert not np.all(np.isfinite(filt.taps))
+        out, taps, corr = eq.cma_run(rx, c, 5, 1e6, 2, n_frame=50, n_batch=n_b)
+        assert not np.all(np.isfinite(taps))
         assert np.all(np.isnan(out[:, 50:]))  # every symbol after frame 0
         assert np.isnan(corr)
 
@@ -142,12 +142,12 @@ def test_cma_run_recovers_qpsk():
     s = modem.sample_symbols(c, 30_000, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
     p = ch.ChannelParams(snr_db=25.0)
-    rx = ch.awgn_isi_apply(tx, p, rng)
-    out, filt, corr = eq.cma_run(rx.samples, c, 15, 2e-3, 2, n_frame=5_000)
+    rx = ch.awgn_isi_apply(tx, 2, p, rng)
+    out, taps, corr = eq.cma_run(rx, c, 15, 2e-3, 2, n_frame=5_000)
     out = eq.viterbi_viterbi_cpe(out)
     assert out.shape == (1, 30_000)
     assert corr == 0.0  # single polarization
-    align = ev.resolve_ambiguity(out[0, -5_000:], s.samples[-5_000:], c, 0.005)
+    align = ev.resolve_ambiguity(out[0, -5_000:], s[-5_000:], c, 0.005)
     assert align.ser < 0.01
 
 
@@ -155,10 +155,10 @@ def test_viterbi_viterbi_constant_phase():
     rng = np.random.default_rng(3)
     c = modem.build_constellation(4, 0.0)
     s = modem.sample_symbols(c, 4_000, rng)
-    rotated = s.samples * np.exp(0.35j)
+    rotated = s * np.exp(0.35j)
     out = eq.viterbi_viterbi_cpe(rotated, window=501)
     assert out.shape == rotated.shape  # 1-D in, 1-D out
-    align = ev.resolve_ambiguity(out[600:-600], s.samples[600:-600], c, 0.01)
+    align = ev.resolve_ambiguity(out[600:-600], s[600:-600], c, 0.01)
     assert align.ser == 0.0
     with pytest.raises(ConfigError):
         eq.viterbi_viterbi_cpe(rotated, window=500)
@@ -169,10 +169,10 @@ def test_mmse_baseline_known_channel():
     c = modem.build_constellation(16, 0.0)
     s = modem.sample_symbols(c, 20_000, rng)
     h = np.array([0.4 - 0.1j, 1.0, -0.3 + 0.2j])
-    rx = sigproc.convolve_same(s.samples, h)
-    w, out, d = eq.mmse_baseline(rx, s.samples, n_taps=21, sps=1)
+    rx = sigproc.convolve_same(s, h)
+    w, out, d = eq.mmse_baseline(rx, s, n_taps=21, sps=1)
     assert w.shape == (21,)
-    mse = np.mean(np.abs(out[50:-50] - s.samples[50:-50]) ** 2)
+    mse = np.mean(np.abs(out[50:-50] - s[50:-50]) ** 2)
     assert mse < 1e-3
 
 
@@ -182,9 +182,9 @@ def test_mmse_baseline_fractionally_spaced():
     s = modem.sample_symbols(c, 20_000, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
     p = ch.ChannelParams(snr_db=np.inf)
-    rx = ch.awgn_isi_apply(tx, p, rng)
-    _, out, _ = eq.mmse_baseline(rx.samples, s.samples, n_taps=40, sps=2)
-    mse = np.mean(np.abs(out[100:-100] - s.samples[100:-100]) ** 2)
+    rx = ch.awgn_isi_apply(tx, 2, p, rng)
+    _, out, _ = eq.mmse_baseline(rx, s, n_taps=40, sps=2)
+    mse = np.mean(np.abs(out[100:-100] - s[100:-100]) ** 2)
     assert mse < 1e-2
 
 
@@ -245,13 +245,13 @@ def test_vae_loss_one_hot_oracle():
     c = modem.build_constellation(16, 0.05)
     n = 12
     s = modem.sample_symbols(c, n, rng)
-    y = s.samples + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    i_idx, q_idx = modem.symbol_indices(c, s.samples)
+    y = s + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    i_idx, q_idx = modem.symbol_indices(c, s)
     eye = np.eye(c.n_levels)
     q = np.stack([eye[i_idx], eye[q_idx]])[None]
     h = np.array([[[0.0, 1.0, 0.0]]], dtype=complex)
     bd, _, _ = eq.vae_loss(y[None, :], q, h, c, n_os=1)
-    c_ref = float(np.sum(np.abs(y - s.samples) ** 2))
+    c_ref = float(np.sum(np.abs(y - s) ** 2))
     assert abs(bd.c_dist[0] - c_ref) < 1e-10
     kl_ref = -float(np.sum(np.log(c.prior[i_idx])) + np.sum(np.log(c.prior[q_idx])))
     assert abs(bd.a_kl - kl_ref) < 1e-9
@@ -298,7 +298,7 @@ def test_vae_le_step_learns_identity_channel():
     n_b = 200
     s = modem.sample_symbols(c, n_b + 24, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    rx = ch.add_awgn(tx.samples, ch.noise_sigma_sq(tx.samples, 2, 15.0),
+    rx = ch.add_awgn(tx, ch.noise_sigma_sq(tx, 2, 15.0),
                      rng)[None, :]
     rx = rx / np.sqrt(np.mean(np.abs(rx) ** 2) * 2)  # unit symbol energy
     state = eq.VaeLeState(1, 2, f_eq=11, f_ch=11)
@@ -320,7 +320,7 @@ def test_run_vae_covers_tail():
     c = modem.build_constellation(4, 0.0)
     s = modem.sample_symbols(c, 1_050, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    rx = ch.add_awgn(tx.samples, ch.noise_sigma_sq(tx.samples, 2, 18.0), rng)
+    rx = ch.add_awgn(tx, ch.noise_sigma_sq(tx, 2, 18.0), rng)
     state = eq.VaeLeState(1, 2, f_eq=7, f_ch=7)
     sched = eq.UpdateSchedule(n_b=250, n_flex=250, lr=1e-3)
     res = eq.run_vae(rx[None, :], c, state, sched)
@@ -345,7 +345,7 @@ def test_run_vae_nn_covers_tail():
     c = modem.build_constellation(4, 0.0)
     s = modem.sample_symbols(c, 400, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    rx = ch.add_awgn(tx.samples, ch.noise_sigma_sq(tx.samples, 2, 18.0), rng)
+    rx = ch.add_awgn(tx, ch.noise_sigma_sq(tx, 2, 18.0), rng)
     state = eq.VaeNnState(1, 2, 4, k1=5, k2=3, f_ch=7, rng=rng, hidden=4)
     sched = eq.UpdateSchedule(n_b=350, n_flex=350, lr=1e-3)
     res = eq.run_vae(rx[None, :], c, state, sched)
@@ -403,6 +403,32 @@ def test_vae_nn_update_is_two_conv_nodes_and_five_adam_arrays(monkeypatch):
     eq.vae_nn_step(state, rx, c, eq.UpdateSchedule(n_b=350, n_flex=350, lr=1e-3))
     assert calls == {"conv1d_full": 2, "backward": 1}
     assert len(state.adam.params) == 5
+
+
+@pytest.mark.parametrize("kind", ["VAE-LE", "VAE-NN"])
+def test_vae_step_stops_on_non_finite_loss(kind):
+    # one finite update counts and moves sigma^2; a NaN batch raises before
+    # Adam, sigma^2 or the count change
+    rng = np.random.default_rng(21)
+    c = modem.build_constellation(4, 0.0)
+    sched = eq.UpdateSchedule(n_b=8, n_flex=8, lr=1e-3)
+    rx = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
+    state = (eq.VaeLeState(1, 2, f_eq=3) if kind == "VAE-LE" else
+             eq.VaeNnState(1, 2, 4, k1=3, k2=3, f_ch=3, rng=rng, hidden=2))
+
+    def step(x):
+        if kind == "VAE-LE":
+            return eq.vae_le_step(state, eq._windows(x, 3, 2), x, c, sched)
+        return eq.vae_nn_step(state, x, c, sched)
+
+    step(rx)
+    assert state.batch_count == 1 and state.sigma_sq != 1.0
+    before = [p.copy() for p in state.adam.params]
+    sigma_sq, t = state.sigma_sq, state.adam.t
+    with pytest.raises(DivergenceError):
+        step(np.full_like(rx, np.nan))
+    assert (state.batch_count, state.sigma_sq, state.adam.t) == (1, sigma_sq, t)
+    assert all(np.array_equal(a, b) for a, b in zip(before, state.adam.params))
 
 
 def test_vae_state_validation():

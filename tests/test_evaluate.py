@@ -53,7 +53,7 @@ def test_aggregate_runs():
 def _qpsk_frame(seed, n=2_000):
     rng = np.random.default_rng(seed)
     c = modem.build_constellation(4, 0.0)
-    ref = modem.sample_symbols(c, n, rng).samples
+    ref = modem.sample_symbols(c, n, rng)
     return c, ref, rng
 
 
@@ -118,7 +118,7 @@ def test_resolve_ambiguity_matches_exhaustive_search(
     rng = np.random.default_rng(seed)
     c = modem.build_constellation(m, nu)
     n = int(rng.integers(100, 1_500))
-    ref = modem.sample_symbols(c, n, rng).samples
+    ref = modem.sample_symbols(c, n, rng)
     x = np.roll(ref * np.exp(1j * np.pi / 4 * rot), shift)
     x = (np.conj(x) if conj else x) * rng.uniform(0.3, 3.0)
     x += noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -163,7 +163,7 @@ def test_resolve_ambiguity_shape_check():
 
 def test_resolve_pol_pairing_detects_swap():
     c, ref0, rng = _qpsk_frame(7, n=4_000)
-    ref1 = modem.sample_symbols(c, 4_000, rng).samples
+    ref1 = modem.sample_symbols(c, 4_000, rng)
     ref = np.stack([ref0, ref1])
     noisy = ref + 0.05 * (rng.standard_normal(ref.shape)
                           + 1j * rng.standard_normal(ref.shape))

@@ -50,12 +50,12 @@ def test_sampling_prior_and_determinism():
     c = modem.build_constellation(16, 0.1)
     n = 200_000
     s = modem.sample_symbols(c, n, np.random.default_rng(9))
-    i_idx, _ = modem.symbol_indices(c, s.samples)
+    i_idx, _ = modem.symbol_indices(c, s)
     freq = np.bincount(i_idx, minlength=4) / n
     sig = np.sqrt(c.prior * (1 - c.prior) / n)
     assert np.all(np.abs(freq - c.prior) < 5 * sig)
     s2 = modem.sample_symbols(c, n, np.random.default_rng(9))
-    assert np.array_equal(s.samples, s2.samples)
+    assert np.array_equal(s, s2)
 
 
 def test_noiseless_points_decode_to_themselves():
@@ -120,7 +120,7 @@ def test_symbol_indices_match_argmin(m):
         mids = 0.5 * (c.levels[:-1] + c.levels[1:])
         # noiseless symbols, and exact midpoints, where the argmin's rounded
         # distances break the tie
-        x = np.concatenate([modem.sample_symbols(c, 2_000, rng).samples,
+        x = np.concatenate([modem.sample_symbols(c, 2_000, rng),
                             mids + 1j * mids[::-1], -mids - 1j * mids])
         ref = tuple(np.argmin(np.abs(comp[:, None] - c.levels[None, :]), axis=1)
                     for comp in (x.real, x.imag))
