@@ -69,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("name", choices=sorted(RECIPES))
     _common(p_rec)
     p_rec.add_argument("--n-ind", type=int, default=None,
-                       help="override frames per run")
+                       help="override frames per run; the moving-average "
+                            "window shrinks to it when it is shorter")
     p_rec.add_argument("--n-run", type=int, default=None,
                        help="override independent runs per sweep point")
     p_rec.add_argument("--seed", type=int, default=None)
@@ -99,6 +100,8 @@ def main(argv=None) -> int:
             overrides = {k: getattr(args, k.replace('-', '_'))
                          for k in ("n_ind", "n_run", "seed")
                          if getattr(args, k, None) is not None}
+            if "n_ind" in overrides:
+                overrides["ma_window"] = min(cfg.ma_window, overrides["n_ind"])
             if overrides:
                 cfg = replace(cfg, **overrides)
         result = run_experiment(cfg, args.out, workers=args.workers)

@@ -107,6 +107,9 @@ class ExperimentConfig:
                                       or (self.hidden is not None and self.hidden < 1)):
             raise ConfigError(f"VAE-NN needs an odd k1, k2 in {{3, 5}} and hidden "
                               f">= 1, got {self.k1}, {self.k2}, {self.hidden}")
+        if self.n_frame <= 2 * _edge_trim(self):
+            raise ConfigError(f"n_frame {self.n_frame} must exceed twice the edge trim "
+                              f"{_edge_trim(self)}, or no symbol is scored")
         if self.kind in ("VAE-LE", "VAE-NN", "VAEflex"):
             _update_schedule(self)  # 1 <= n_flex <= n_b, as the run needs
             if self.n_ind * self.n_frame < self.batch_symbols:
@@ -159,6 +162,12 @@ def _channel_params(cfg: ExperimentConfig) -> ch.ChannelParams:
                             beta_cd=cfg.beta_cd, l_cd=cfg.l_cd,
                             dgamma_hv=cfg.dgamma_hv, symbol_rate=cfg.symbol_rate,
                             snr_db=cfg.snr_db, n_frame=cfg.n_frame)
+
+
+def _edge_trim(cfg: ExperimentConfig) -> int:
+    """Symbols left unscored at each end of every frame: the equalizer's
+    and the channel's memory."""
+    return cfg.taps + (len(_channel_params(cfg).h_sim) if cfg.variant == "awgn_isi" else 20)
 
 
 def _pulse(cfg: ExperimentConfig) -> np.ndarray | None:
@@ -253,7 +262,7 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
     # MAP decisions see the per-component noise variance
     pairing = ev.resolve_pol_pairing(res.out, tx_sym, c, float(sig_frames[-1]) / 2.0,
                                      n_frame=cfg.n_frame)
-    edge = cfg.taps + (len(params.h_sim) if cfg.variant == "awgn_isi" else 20)
+    edge = _edge_trim(cfg)
     curves = np.empty((cfg.n_pol, cfg.n_ind))
     for p in range(cfg.n_pol):
         curves[p] = ev.frame_ser_curve(res.out[pairing[p]], tx_sym[p], c,
@@ -331,20 +340,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
         recs = per_point[i]
         ma = np.concatenate([rec["ma"] for rec in recs], axis=0)
         rep = ev.aggregate_runs(ma, threshold=cfg.threshold)
-        row = {
-            "sweep_index": i,
-            "kind": pt.kind,
-            "snr_db": pt.snr_db,
-            "lr": pt.lr,
-            "batch_symbols": pt.batch_symbols,
-            "taps": pt.taps,
-            "symbol_rate": pt.symbol_rate,
-            "dgamma_hv": pt.dgamma_hv,
-            "entropy": "" if pt.entropy is None else pt.entropy,
-            "final_ser": rep.final_ser,
-            "n_success": rep.n_success,
-            "n_fail": rep.n_fail,
-        }
+        # the swept fields as the point sets them, then the aggregate
+        row = {"sweep_index": i, **{k: getattr(pt, k) for k in _SUMMARY_COLS[1:8]},
+               "entropy": "" if pt.entropy is None else pt.entropy,
+               "final_ser": rep.final_ser, "n_success": rep.n_success, "n_fail": rep.n_fail}
         snrs = [rec["snr_est_db"][-1] for rec in recs if "snr_est_db" in rec]
         row["snr_est_db"] = float(np.mean(snrs)) if snrs else ""
         nmses = [rec["ip_nmse_db"] for rec in recs if "ip_nmse_db" in rec]

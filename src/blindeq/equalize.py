@@ -84,17 +84,50 @@ def godard_radius(c: Constellation) -> float:
 # CMA family
 
 
-def cma_block(taps_mat: np.ndarray, w: np.ndarray, r2: float):
-    """Godard's CMA over a block of symbols at fixed taps.
+# symbol-wise CMA runs in blocks of _CMA_BLOCK symbols, and the recursion
+# inside a block in sub-blocks of _CMA_SUB; both chosen by measurement
+_CMA_BLOCK, _CMA_SUB = 32, 8
+
+
+def cma_block(taps_mat: np.ndarray, w: np.ndarray, r2: float, mu: float = 0.0):
+    """Godard's CMA over a block of symbols.
 
     ``taps_mat`` is (pol, pol * F), correlation-oriented; ``w`` holds the
     block's flattened windows, (n, pol * F).  Returns the outputs y, (n, pol),
-    and each symbol's Godard ascent direction e conj(w) with
-    e = y (R2 - |y|^2), (n, pol, pol * F).
+    and the errors e = y (R2 - |y|^2), (n, pol); e conj(w) is a symbol's
+    Godard ascent direction.
+
+    With mu = 0 the taps are fixed over the block.  Otherwise each symbol is
+    equalized at the taps left by its predecessor's update taps += mu e conj(w),
+    and ``taps_mat`` is updated in place.  That recursion runs through the
+    windows' Gram matrix (fast exact LMS): with Y = W T^T and G = mu W W^H,
+    y_k = Y_k + sum_{j<k} G[k, j] e_j, and the taps end at T + mu E^T conj(W).
+    It differs from symbol-by-symbol updates only in the order of summation.
     """
     out = _taps_dot(taps_mat, w)
-    err = out * (r2 - np.abs(out) ** 2)
-    return out, err[:, :, None] * np.conj(w)[:, None, :]
+    if not mu:
+        return out, out * (r2 - np.abs(out) ** 2)
+    wc = np.conj(w)
+    gram = mu * (w @ wc.T)
+    err = np.empty_like(out)
+    for s in range(0, len(w), _CMA_SUB):
+        # Python scalars within a sub-block, one product between sub-blocks
+        t = s + _CMA_SUB
+        g = gram[s:t, s:t].tolist()
+        for p, y in enumerate(out[s:t].T.tolist()):
+            e = []
+            for k, row in enumerate(g):
+                yk = y[k]
+                for j in range(k):
+                    yk += row[j] * e[j]
+                # no abs() or **: they raise OverflowError once a run diverges
+                e.append(yk * (r2 - (yk.real * yk.real + yk.imag * yk.imag)))
+                y[k] = yk
+            out[s:t, p] = y
+            err[s:t, p] = e
+        out[t:] += gram[t:, s:t] @ err[s:t]
+    taps_mat += mu * (err.T @ wc)
+    return out, err
 
 
 def _unit_power(rx: np.ndarray) -> np.ndarray:
@@ -121,7 +154,8 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
     updated every n_flex symbols by mu times the mean of the last n_b Godard
     directions, each computed at the taps in force when its symbol was
     equalized.  n_batch=None gives the classical symbol-wise update
-    (n_b = n_flex = 1); otherwise n_b = n_batch and n_flex defaults to it.
+    (n_b = n_flex = 1), which ``cma_block`` runs up to _CMA_BLOCK symbols at
+    a time; otherwise n_b = n_batch and n_flex defaults to it.
     At every frame start the scheduler, when enabled, halves mu per 20 frame
     indices, and non-finite taps stop the run with the rest of the output NaN.
     """
@@ -133,10 +167,9 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
     win = _windows(rx, n_taps, sps)
     n_sym = win.shape[0]
     out = np.empty((pol, n_sym), dtype=np.complex128)
-    if n_batch is None:
-        n_batch = n_flex = 1
-    elif n_flex is None:
-        n_flex = n_batch
+    symbolwise = n_batch is None  # cma_block then applies every update itself
+    n_batch = 1 if symbolwise else n_batch
+    n_flex = n_batch if n_flex is None else n_flex
     # ring buffer: symbol k's direction sits in slot k % n_batch, and the
     # mean runs in slot order
     dirs = np.zeros((n_batch, pol, pol * n_taps), dtype=np.complex128)
@@ -151,16 +184,22 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
                     # diverged: freeze and flag the remaining output
                     out[:, lo:] = np.nan
                     break
+            frame_end = (lo // n_frame + 1) * n_frame
+            if symbolwise:
+                hi = min(lo + _CMA_BLOCK, frame_end, n_sym)
+                out[:, lo:hi] = cma_block(taps_mat, win[lo:hi].reshape(hi - lo, -1), r2, mu)[0].T
+                lo = hi
+                continue
             # a block of fixed taps ends at the next update, frame start or
             # wrap of the ring buffer
             slot = lo % n_batch
-            hi = min(update, (lo // n_frame + 1) * n_frame, lo - slot + n_batch, n_sym)
+            hi = min(update, frame_end, lo - slot + n_batch, n_sym)
             w = win[lo:hi].reshape(hi - lo, -1)
-            o, dirs[slot: slot + hi - lo] = cma_block(taps_mat, w, r2)
+            o, err = cma_block(taps_mat, w, r2)
+            dirs[slot: slot + hi - lo] = err[:, :, None] * np.conj(w)[:, None, :]
             out[:, lo:hi] = o.T
             if hi == update:
-                # the mean of one direction is the direction itself
-                taps_mat += mu * (dirs[0] if n_batch == 1 else dirs.sum(axis=0) / n_batch)
+                taps_mat += mu * (dirs.sum(axis=0) / n_batch)
                 update += n_flex
             lo = hi
     if pol == 1:

@@ -151,7 +151,6 @@ class SerReport:
     ma_mean: np.ndarray         # mean MA curve over successful traces
     n_success: int              # successful (run, pol) traces
     n_fail: int
-    per_trace: np.ndarray       # (n_traces, n_ma) MA curves
 
 
 def aggregate_runs(ma_curves: np.ndarray, threshold: float = 0.3) -> SerReport:
@@ -168,10 +167,10 @@ def aggregate_runs(ma_curves: np.ndarray, threshold: float = 0.3) -> SerReport:
     n_s = int(success.sum())
     if n_s == 0:
         return SerReport(final_ser=1.0, ma_mean=np.ones(ma.shape[1]),
-                         n_success=0, n_fail=ma.shape[0], per_trace=ma)
+                         n_success=0, n_fail=ma.shape[0])
     mean = ma[success].mean(axis=0)
     return SerReport(final_ser=float(mean.min()), ma_mean=mean,
-                     n_success=n_s, n_fail=int(ma.shape[0] - n_s), per_trace=ma)
+                     n_success=n_s, n_fail=int(ma.shape[0] - n_s))
 
 
 def snr_report(sigma_sq, es: float = 1.0) -> np.ndarray:
@@ -188,8 +187,6 @@ class IpReport:
     nmse_db: float
     shift: int
     gain: complex               # complex scale applied to the true response
-    h_est: np.ndarray
-    h_ref_aligned: np.ndarray   # gain * shifted true response on the est grid
 
 
 def ip_report(h_est: np.ndarray, h_true: np.ndarray) -> IpReport:
@@ -218,4 +215,4 @@ def ip_report(h_est: np.ndarray, h_true: np.ndarray) -> IpReport:
         raise ConfigError("estimate has no component along the aligned truth")
     nmse = err / power
     return IpReport(nmse=nmse, nmse_db=10.0 * np.log10(max(nmse, 1e-30)),
-                    shift=lag, gain=gain, h_est=h_est, h_ref_aligned=aligned)
+                    shift=lag, gain=gain)

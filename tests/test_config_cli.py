@@ -202,6 +202,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     {"shaping": "rrc", "rrc_span": 3},
     {"kind": "VAE-NN", "hidden": 0},
     {"kind": "MMSE-genie", "mmse_taps": 0},
+    {"n_frame": 60, "n_ind": 1, "ma_window": 1, "taps": 25},  # edge trim 30 per end
+    {"variant": "dp_optical", "n_frame": 62},          # edge trim 11 + 20
+    {"n_frame": 40, "sweep": {"taps": [3, 15]}},       # only the 2nd point is bad
 ])
 def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad):
     def no_run(*args):
@@ -235,6 +238,20 @@ def test_cli_recipe_runs_with_overrides(tmp_path, monkeypatch, capsys):
     recipe = cli.RECIPES["dp-pcs"]
     for f in fields(recipe):
         if f.name not in ("n_ind", "n_run", "seed"):
+            assert getattr(cfg, f.name) == getattr(recipe, f.name), f.name
+
+
+def test_cli_recipe_n_ind_caps_ma_window(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, out_dir, workers=None:
+                        seen.append(cfg) or {"summary": []})
+    assert cli.main(["recipe", "dp-pcs", "--n-ind", "2", "--n-run", "1",
+                     "--out", str(tmp_path / "res")]) == 0
+    (cfg,) = seen
+    assert (cfg.n_ind, cfg.ma_window, cfg.n_run) == (2, 2, 1)
+    recipe = cli.RECIPES["dp-pcs"]
+    for f in fields(recipe):
+        if f.name not in ("n_ind", "ma_window", "n_run"):
             assert getattr(cfg, f.name) == getattr(recipe, f.name), f.name
 
 

@@ -55,13 +55,29 @@ def test_cma_step_hand_oracle():
     t0 = 0.7 - 0.2j
     w = np.array([[1.1 + 0.4j], [-0.3 + 0.9j]])
     r2 = 1.32
-    out, dirs = eq.cma_block(np.array([[t0]]), w, r2)
-    assert out.shape == (2, 1) and dirs.shape == (2, 1, 1)
+    out, err = eq.cma_block(np.array([[t0]]), w, r2)
+    assert out.shape == (2, 1) and err.shape == (2, 1)
     for k in range(2):
         o = t0 * w[k, 0]
         e = o * (r2 - abs(o) ** 2)
         assert abs(out[k, 0] - o) < 1e-15
-        assert abs(dirs[k, 0, 0] - e * np.conj(w[k, 0])) < 1e-15
+        assert abs(err[k, 0] - e) < 1e-15
+
+
+def test_cma_block_updates_after_each_symbol():
+    # with mu, the second symbol sees the taps left by the first one's update
+    t0, mu, r2 = 0.7 - 0.2j, 0.3, 1.32
+    w = np.array([[1.1 + 0.4j], [-0.3 + 0.9j]])
+    taps = np.array([[t0]])
+    out, err = eq.cma_block(taps, w, r2, mu)
+    y0 = t0 * w[0, 0]
+    e0 = y0 * (r2 - abs(y0) ** 2)
+    t1 = t0 + mu * e0 * np.conj(w[0, 0])
+    y1 = t1 * w[1, 0]
+    e1 = y1 * (r2 - abs(y1) ** 2)
+    assert abs(out[0, 0] - y0) < 1e-15 and abs(err[0, 0] - e0) < 1e-15
+    assert abs(out[1, 0] - y1) < 1e-15 and abs(err[1, 0] - e1) < 1e-15
+    assert abs(taps[0, 0] - (t1 + mu * e1 * np.conj(w[1, 0]))) < 1e-15
 
 
 def test_cma_step_stationary_on_radius():
@@ -109,11 +125,35 @@ def test_cma_run_schedule_oracle(n_b, n_flex):
     rx = rx / np.sqrt(np.mean(np.abs(rx) ** 2))
     ref_out, ref_taps = _naive_cma(rx, eq.godard_radius(c), 5, 0.05, 2, 3, True,
                                    n_b or 1, n_flex or n_b or 1)
-    # the same arithmetic in the same order, so the same bits
-    assert np.array_equal(out, ref_out)
-    assert np.array_equal(taps, ref_taps)
+    if n_b is None:
+        # symbol-wise CMA runs its recursion in blocks: the same arithmetic
+        # summed in another order
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(taps, ref_taps, rtol=0, atol=1e-12)
+    else:
+        # the same arithmetic in the same order, so the same bits
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(taps, ref_taps)
     assert not np.allclose(taps, eq.dirac_taps(2, 5))
     assert np.isfinite(corr)
+
+
+@pytest.mark.parametrize("pol", [1, 2])
+def test_cma_run_symbolwise_matches_per_symbol_loop(pol):
+    # 3,100 symbols in frames of 1,001: blocks of eq._CMA_BLOCK symbols end at
+    # every frame start, and the last block is partial
+    rng = np.random.default_rng(15)
+    c = modem.build_constellation(16, 0.0)
+    n_sym, n_frame = 3_100, 1_001
+    assert n_frame % eq._CMA_BLOCK and n_frame % eq._CMA_SUB
+    assert n_sym % n_frame % eq._CMA_BLOCK
+    rx = rng.standard_normal((pol, 2 * n_sym)) + 1j * rng.standard_normal((pol, 2 * n_sym))
+    out, taps, _ = eq.cma_run(rx, c, 7, 2e-3, 2, n_frame=n_frame, scheduler=True)
+    rx = rx / np.sqrt(np.mean(np.abs(rx) ** 2))
+    ref_out, ref_taps = _naive_cma(rx, eq.godard_radius(c), 7, 2e-3, 2, n_frame, True, 1, 1)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(taps, ref_taps, rtol=0, atol=1e-12)
+    assert not np.allclose(taps, eq.dirac_taps(pol, 7), atol=1e-3)
 
 
 def test_cma_run_divergence_flags_rest_of_stream():
