@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
 from .sigproc import convolve_same, frequency_grid
 
 # complex 5-tap ISI test channel (h1 in the literature)
@@ -88,8 +87,6 @@ def awgn_isi_apply(tx: np.ndarray, n_os: int, p: ChannelParams,
     ``tx`` is the already pulse-shaped (or zero-inserted) signal at n_os sps;
     h is p.h_sim zero-inserted to n_os sps, without interpolation.
     """
-    if p.h_sim is None or len(p.h_sim) == 0:
-        raise ConfigError("awgn_isi_apply requires h_sim taps")
     out = convolve_same(tx, oversampled_impulse_response(p.h_sim, n_os))
     if np.isfinite(p.snr_db):
         out = add_awgn(out, noise_sigma_sq(out, n_os, p.snr_db), rng)
@@ -121,8 +118,6 @@ def dp_apply(tx_te: np.ndarray, tx_tm: np.ndarray, n_os: int, p: ChannelParams,
              frame_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Apply the frequency-domain channel, noiseless, to one frame of samples
     at n_os sps."""
-    if tx_te.shape != tx_tm.shape:
-        raise ConfigError(f"polarization length mismatch: {tx_te.shape} vs {tx_tm.shape}")
     f = frequency_grid(tx_te.shape[0], n_os, p.symbol_rate)
     h = dp_channel_matrix(f, p, p.gamma_eff(frame_index))
     a = np.fft.fft(tx_te)

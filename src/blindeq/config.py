@@ -87,6 +87,24 @@ class ExperimentConfig:
         if not 1 <= self.ma_window <= self.n_ind:
             raise ConfigError(f"need 1 <= ma_window <= n_ind, got "
                               f"{self.ma_window}, {self.n_ind}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        # lr = 0 is legal: it freezes the taps, as CMA's mu = 0 does
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        # +inf is a noiseless link, which only the VAE kinds can score: the
+        # others decide with the injected variance 10^(-snr/10) = 0
+        if not (np.isfinite(self.snr_db) or (self.snr_db == np.inf
+                                             and self.kind.startswith("VAE"))):
+            raise ConfigError(f"snr_db must be finite (+inf only for the VAE kinds), "
+                              f"got {self.snr_db} for {self.kind}")
+        if not (0 < self.symbol_rate < np.inf and 0 <= self.d_pmd < np.inf
+                and 0 <= self.l_pmd < np.inf):
+            raise ConfigError(f"need a finite symbol_rate > 0 and finite d_pmd, l_pmd >= 0, "
+                              f"got {self.symbol_rate}, {self.d_pmd}, {self.l_pmd}")
+        if not 0 < self.threshold <= 1:
+            raise ConfigError(f"threshold must be in (0, 1], got {self.threshold}")
         flex = 1 if self.flex_symbols is None else self.flex_symbols
         if min(self.n_run, self.n_frame, self.n_os, self.batch_symbols, flex) < 1:
             raise ConfigError(f"need n_run, n_frame, n_os, batch_symbols and flex_symbols "
@@ -217,7 +235,7 @@ def _equalize(cfg: ExperimentConfig, rx: np.ndarray, c, tx_sym, rng) -> eq.Equal
                                   n_frame=cfg.n_frame, scheduler=cfg.scheduler,
                                   n_batch=n_b, n_flex=n_flex)
         out = eq.viterbi_viterbi_cpe(out, window=cfg.cpe_window)
-        return eq.EqualizerResult(out=np.atleast_2d(out), singularity_corr=corr)
+        return eq.EqualizerResult(out=out, singularity_corr=corr)
     if kind == "VAE-NN":
         state = eq.VaeNnState(cfg.n_pol, cfg.n_os, cfg.m, cfg.k1, cfg.k2,
                               f_ch=cfg.ch_taps or cfg.taps, rng=rng,
@@ -281,8 +299,7 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
     if res.ch_taps is not None and cfg.variant == "awgn_isi":
         # the channel model learns the pulse convolved with the channel
         h_true = ch.oversampled_impulse_response(params.h_sim, cfg.n_os, _pulse(cfg))
-        rep = ev.ip_report(res.ch_taps[0, 0], h_true)
-        record["ip_nmse_db"] = rep.nmse_db
+        record["ip_nmse_db"] = ev.ip_nmse_db(res.ch_taps[0, 0], h_true)
     return record
 
 

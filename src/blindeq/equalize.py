@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, DivergenceError
 from .modem import Constellation, soft_demap
-from .sigproc import convolve_same
+from .sigproc import convolve_same, padded, window_view, windows
 
 # ---------------------------------------------------------------------------
 # butterfly filters
@@ -39,29 +39,6 @@ def _filter_windows(taps: np.ndarray, win: np.ndarray) -> np.ndarray:
     # the windows, like the CMA taps, are correlation-oriented, hence the flip
     flipped = taps[:, :, ::-1].reshape(taps.shape[0], -1)
     return _taps_dot(flipped, win.reshape(win.shape[0], -1)).T
-
-
-def _windows(rx: np.ndarray, n_taps: int, stride: int) -> np.ndarray:
-    """Sliding, symbol-strided windows (n_sym, pol, F), centered; a view."""
-    pad, inner = _padded(rx.shape[0], rx.shape[1], n_taps, rx.dtype)
-    inner[:] = rx
-    return _window_view(pad, n_taps, stride)
-
-
-def _padded(pol: int, n: int, n_taps: int, dtype):
-    """A zero (pol, n + F - 1) array and its (pol, n) interior, a view."""
-    # zeros and a slice assignment: np.pad costs more than the rest of this
-    # for the short blocks of a VAE update
-    mh = n_taps // 2
-    pad = np.zeros((pol, n + 2 * mh), dtype=dtype)
-    return pad, pad[:, mh: mh + n]
-
-
-def _window_view(pad: np.ndarray, n_taps: int, stride: int) -> np.ndarray:
-    """The windows (n_sym, pol, F) of a padded (pol, N + F - 1) array; a
-    view, so it follows later writes to ``pad``."""
-    view = np.lib.stride_tricks.sliding_window_view(pad, n_taps, axis=1)
-    return view[:, ::stride].transpose(1, 0, 2)
 
 
 def _taps_dot(taps_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -137,13 +114,11 @@ def _unit_power(rx: np.ndarray) -> np.ndarray:
 
 def lr_schedule(k: int, eps0: float) -> float:
     """Halve the learning rate after every 20th frame index."""
-    if k < 0:
-        raise ConfigError(f"frame index must be >= 0, got {k}")
     return eps0 * 2.0 ** (-(k // 20))
 
 
 def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
-            n_frame: int = 10_000, scheduler: bool = False,
+            n_frame: int, scheduler: bool = False,
             n_batch: int | None = None, n_flex: int | None = None):
     """Run a CMA over a sample stream; returns (out, taps, singularity_corr).
 
@@ -158,13 +133,15 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
     a time; otherwise n_b = n_batch and n_flex defaults to it.
     At every frame start the scheduler, when enabled, halves mu per 20 frame
     indices, and non-finite taps stop the run with the rest of the output NaN.
+    ``ExperimentConfig`` checks n_batch and n_flex >= 1 at load; n_flex = 0
+    is not an update period, and fails here with a raw ValueError.
     """
     rx = _unit_power(np.atleast_2d(rx))
     pol = rx.shape[0]
     r2 = godard_radius(c)
     taps = dirac_taps(pol, n_taps)
     taps_mat = taps.reshape(pol, pol * n_taps)  # a view: its updates reach taps
-    win = _windows(rx, n_taps, sps)
+    win = windows(rx, n_taps, sps).transpose(1, 0, 2)    # (n_sym, pol, F)
     n_sym = win.shape[0]
     out = np.empty((pol, n_sym), dtype=np.complex128)
     symbolwise = n_batch is None  # cma_block then applies every update itself
@@ -223,13 +200,8 @@ def viterbi_viterbi_cpe(x: np.ndarray, window: int = 501) -> np.ndarray:
     The estimate phi_i = arg(-sum x^4)/4 carries the conventional pi/4
     offset for square QAM; the fourth-power phase is unwrapped across the
     sequence to avoid pi/2 cycle slips.  A residual pi/2 (and pi/4 offset)
-    ambiguity remains for downstream resolution.
+    ambiguity remains for downstream resolution.  x is (pol, n).
     """
-    if window % 2 == 0:
-        raise ConfigError(f"averaging window must be odd, got {window}")
-    x = np.asarray(x)
-    was_1d = x.ndim == 1
-    x = np.atleast_2d(x)
     out = np.empty_like(x)
     kernel = np.full(window, 1.0 / window)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -237,25 +209,26 @@ def viterbi_viterbi_cpe(x: np.ndarray, window: int = 501) -> np.ndarray:
             z = convolve_same(x[p] ** 4, kernel)
             phi4 = np.unwrap(np.angle(-z))
             out[p] = x[p] * np.exp(-0.25j * phi4)
-    return out[0] if was_1d else out
+    return out
 
 
-def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int = 20,
-                  sps: int = 1, ridge: float = 1e-12, max_delay: int = 4):
+# the MMSE genie's ridge on the Gram matrix, and its symbol-delay search range
+_MMSE_RIDGE, _MMSE_MAX_DELAY = 1e-12, 4
+
+
+def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int = 20, sps: int = 1):
     """Genie-aided linear MMSE equalizer (symbol- or fractionally spaced).
 
     Least-squares over the tap vector with centered, symbol-strided windows
     and a small integer symbol-delay search; returns (taps, equalized output
     aligned to tx, delay).
     """
-    rx = np.asarray(rx, dtype=np.complex128)
-    tx = np.asarray(tx, dtype=np.complex128)
     n_sym = min(tx.shape[0], rx.shape[0] // sps)
-    x = _windows(rx[None, :], n_taps, sps)[:n_sym, 0]
+    x = windows(rx[None, :], n_taps, sps)[0, :n_sym]
     xh = x.conj().T
-    gram = xh @ x + ridge * np.eye(n_taps)
+    gram = xh @ x + _MMSE_RIDGE * np.eye(n_taps)
     best = None
-    for d in range(-max_delay, max_delay + 1):
+    for d in range(-_MMSE_MAX_DELAY, _MMSE_MAX_DELAY + 1):
         target = np.roll(tx[:n_sym], d)
         w = np.linalg.solve(gram, xh @ target)
         resid = float(np.linalg.norm(x @ w - target) ** 2)
@@ -326,8 +299,7 @@ class LossContext:
     ``vae_loss`` call overwrites the buffers; nothing it returns aliases them.
     """
 
-    def __init__(self, pol: int, n: int, f: int, n_os: int, edge_trim: int = 0):
-        self.shape = (pol, n, f, n_os, edge_trim)
+    def __init__(self, pol: int, n: int, f: int, n_os: int, edge_trim: int):
         mask = np.ones(n)
         if edge_trim:
             mask[:edge_trim] = 0.0
@@ -337,41 +309,37 @@ class LossContext:
         self.sym_mask = mask[::n_os, None]
         # mwin[k, t] = mask[k n_os - F//2 + t]: the kept samples that symbol
         # k's variance reaches through tap F-1-t
-        self.mwin = _windows(mask[None], f, n_os)[:, 0]           # (n_sym, F)
+        self.mwin = windows(mask[None], f, n_os)[0]               # (n_sym, F)
         # E[x] on the sample grid: only the symbol positions are ever written,
         # so the samples between symbols stay zero
-        up_pad, up = _padded(pol, n, f, np.complex128)
+        up_pad, up = padded(pol, n, f, np.complex128)
         self.up_sym = up[:, ::n_os]
-        self.up_win = _window_view(up_pad, f, 1)                   # (n, pol, F)
+        self.up_win = window_view(up_pad, f, 1).transpose(1, 0, 2)     # (n, pol, F)
         # 2 w_p resid_p, read on the symbol grid
-        r_pad, self.r = _padded(pol, n, f, np.complex128)
-        self.r_win = _window_view(r_pad, f, n_os)                  # (n_sym, pol, F)
+        r_pad, self.r = padded(pol, n, f, np.complex128)
+        self.r_win = window_view(r_pad, f, n_os).transpose(1, 0, 2)  # (n_sym, pol, F)
 
 
 def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
-             n_os: int, edge_trim: int = 0, ctx: LossContext | None = None):
+             ctx: LossContext):
     """Reduced negative ELBO for one batch, with its gradients in closed form.
 
     rx: (pol, N) complex samples, N = n_sym * n_os.
     q: (pol, 2, n_sym, sqrt(M)) per-component posteriors, axis 1 (I, Q),
         rows on the simplex.
     h: (pol, pol, F) complex channel-model taps, convolution-oriented.
-    edge_trim: samples excluded at each end of the distortion/KL windows
-        (the model cannot explain them without symbols outside the batch).
-    ctx: the run's ``LossContext`` for this shape; a fresh one when None.
+    ctx: the run's ``LossContext``, built for this (pol, N, F), n_os and
+        edge trim: the samples excluded at each end of the distortion/KL
+        windows (the model cannot explain them without symbols outside the
+        batch).
 
     The loss is sum_p (A_p + N ln C_p): A_p is the KL divergence of q_p from
     the prior, and C_p = sum_n |y_p - (h * E[x])_p|^2 + (|h|^2 * Var[x])_p
     over the kept samples n.  Returns (LossBreakdown, dL/dq, dL/dh); the
     complex gradient is dL/dRe h + j dL/dIm h.
     """
-    pol, n = rx.shape
+    pol = rx.shape[0]
     f = h.shape[2]
-    if ctx is None:
-        ctx = LossContext(pol, n, f, n_os, edge_trim)
-    elif ctx.shape != (pol, n, f, n_os, edge_trim):
-        raise ValueError(f"loss context built for {ctx.shape}, "
-                         f"called with {(pol, n, f, n_os, edge_trim)}")
     n_eff, sym_mask, mwin = ctx.n_eff, ctx.sym_mask, ctx.mwin
     lev_sq = c.levels ** 2
 
@@ -460,7 +428,7 @@ class VaeLeState:
 
 
 def vae_le_grads(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
-                 c: Constellation, ctx: LossContext | None = None):
+                 c: Constellation, ctx: LossContext):
     """The batch loss of the linear decoder and its gradients.
 
     ``win`` holds the batch's equalizer windows, (n_b, pol, f_eq), and
@@ -475,8 +443,7 @@ def vae_le_grads(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
     s2 = 0.5 * state.sigma_sq
     q = soft_demap(x_hat.ravel(), c, s2, state.matched_demapper)
     q = q.reshape(pol, n_sym, 2, -1).transpose(0, 2, 1, 3)
-    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch, c, state.n_os,
-                             state.f_ch // 2, ctx)
+    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch, c, ctx)
     # back through the softmax and its logits -(x - a)^2 / (2 s2)
     g_q -= (q * g_q).sum(axis=-1, keepdims=True)
     g_logit = np.multiply(q, g_q, out=g_q)
@@ -489,24 +456,24 @@ def vae_le_grads(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
 
 
 def vae_le_step(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
-                c: Constellation, schedule: UpdateSchedule, lr: float | None = None,
-                ctx: LossContext | None = None):
-    """One mini-batch update; returns (first n_flex symbols per pol, breakdown).
+                c: Constellation, schedule: UpdateSchedule, lr: float,
+                ctx: LossContext):
+    """One mini-batch update at learning rate ``lr``; returns (first n_flex
+    symbols per pol, breakdown).
 
     ``win``, ``rx_batch`` and ``ctx`` are as for ``vae_le_grads``.
     """
     x_hat, bd, g_eq, g_ch = vae_le_grads(state, win, rx_batch, c, ctx)
-    _update(state, bd, [_real_view(g_eq), _real_view(g_ch)], schedule, lr)
+    _update(state, bd, [_real_view(g_eq), _real_view(g_ch)], lr)
     return x_hat[:, : schedule.n_flex], bd
 
 
-def _update(state, bd: LossBreakdown, grads, schedule: UpdateSchedule,
-            lr: float | None) -> None:
+def _update(state, bd: LossBreakdown, grads, lr: float) -> None:
     """The step both decoders share: stop on a non-finite loss, else one Adam
     step and the new sigma^2 and batch count."""
     if not np.isfinite(bd.total):
         raise DivergenceError(state.batch_count)
-    state.adam.step(grads, schedule.lr if lr is None else lr)
+    state.adam.step(grads, lr)
     state.sigma_sq = bd.sigma_sq
     state.batch_count += 1
 
@@ -528,18 +495,16 @@ class VaeNnState:
 
     def __init__(self, n_pol: int, n_os: int, m: int, k1: int, k2: int,
                  f_ch: int, rng: np.random.Generator, hidden: int | None = None):
-        if k1 % 2 == 0 or k2 not in (3, 5):
-            raise ConfigError(f"need odd k1 and k2 in {{3, 5}}, got {k1}, {k2}")
-        self.n_pol, self.n_os, self.k1, self.k2 = n_pol, n_os, k1, k2
+        self.n_pol, self.n_os = n_pol, n_os
         self.n_levels = int(np.sqrt(m))
-        self.hidden = hidden if hidden is not None else 2 * self.n_levels
+        hidden = hidden if hidden is not None else 2 * self.n_levels
         n_in = 2 * n_pol
         n_out = n_pol * 2 * self.n_levels
         s1 = 1.0 / np.sqrt(n_in * k1)
-        s2 = 1.0 / np.sqrt(self.hidden * k2)
-        self.w1 = s1 * rng.standard_normal((self.hidden, n_in, k1))
-        self.b1 = np.zeros((self.hidden, 1))
-        self.w2 = s2 * rng.standard_normal((n_out, self.hidden, k2))
+        s2 = 1.0 / np.sqrt(hidden * k2)
+        self.w1 = s1 * rng.standard_normal((hidden, n_in, k1))
+        self.b1 = np.zeros((hidden, 1))
+        self.w2 = s2 * rng.standard_normal((n_out, hidden, k2))
         self.b2 = np.zeros((n_out, 1))
         self.ch = dirac_taps(n_pol, f_ch)
         self.adam = Adam([self.w1, self.b1, self.w2, self.b2, self.ch.view(np.float64)])
@@ -555,14 +520,14 @@ def vae_nn_forward(rx: np.ndarray, state: VaeNnState):
     pol, and the layer values (x, a1, h) that ``ad.backward`` reads.
     """
     x = np.stack([rx.real, rx.imag], axis=1).reshape(-1, rx.shape[1])
-    a1 = ad.conv1d_full(x, state.w1, 1, state.k1 // 2) + state.b1
+    a1 = ad.conv1d_full(x, state.w1) + state.b1
     h = ad.elu(a1)
-    logits = ad.conv1d_full(h, state.w2, state.n_os, state.k2 // 2) + state.b2
+    logits = ad.conv1d_full(h, state.w2, state.n_os) + state.b2
     return ad.softmax_groups(logits, state.n_levels), (x, a1, h)
 
 
 def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
-                 ctx: LossContext | None = None):
+                 ctx: LossContext):
     """The batch loss of the CNN decoder and its gradients.
 
     The closed-form dL/dq goes back through the decoder in one
@@ -571,19 +536,18 @@ def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
     """
     q_cnn, (x, a1, h) = vae_nn_forward(rx_batch, state)
     q = q_cnn.reshape(state.n_pol, 2, -1, state.n_levels)
-    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch, c, state.n_os,
-                             state.f_ch // 2, ctx)
+    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch, c, ctx)
     g_net = ad.backward(x, state.w1, a1, h, state.w2, state.n_os, q_cnn,
                         g_q.reshape(q_cnn.shape))
     return q, bd, g_net, g_ch
 
 
 def vae_nn_step(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
-                schedule: UpdateSchedule, lr: float | None = None,
-                ctx: LossContext | None = None):
-    """One CNN-decoder mini-batch; emits soft symbols E_Q[x] per pol."""
+                schedule: UpdateSchedule, lr: float, ctx: LossContext):
+    """One CNN-decoder mini-batch at learning rate ``lr``; emits soft symbols
+    E_Q[x] per pol."""
     q, bd, g_net, g_ch = vae_nn_grads(state, rx_batch, c, ctx)
-    _update(state, bd, [*g_net, _real_view(g_ch)], schedule, lr)
+    _update(state, bd, [*g_net, _real_view(g_ch)], lr)
     return _soft_symbols(q, c)[:, : schedule.n_flex], bd
 
 
@@ -612,7 +576,7 @@ class EqualizerResult:
 
 
 def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
-            n_frame: int = 10_000) -> EqualizerResult:
+            n_frame: int) -> EqualizerResult:
     """Online training pass over the whole stream (VAE-LE or VAE-NN).
 
     The input is normalized to unit symbol energy (sample power 1 / n_os),
@@ -625,7 +589,7 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
     out = np.zeros((state.n_pol, n_sym), dtype=np.complex128)
     is_le = isinstance(state, VaeLeState)
     if is_le:
-        win = _windows(rx, state.f_eq, n_os)
+        win = windows(rx, state.f_eq, n_os).transpose(1, 0, 2)  # (n_sym, pol, F)
     ctx = LossContext(state.n_pol, schedule.n_b * n_os, state.f_ch, n_os,
                       state.f_ch // 2)
     traj = []
@@ -636,9 +600,9 @@ def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
               else schedule.lr)
         if is_le:
             emitted, bd = vae_le_step(state, win[t: t + schedule.n_b], batch, c,
-                                      schedule, lr=lr, ctx=ctx)
+                                      schedule, lr, ctx)
         else:
-            emitted, bd = vae_nn_step(state, batch, c, schedule, lr=lr, ctx=ctx)
+            emitted, bd = vae_nn_step(state, batch, c, schedule, lr, ctx)
         out[:, t: t + schedule.n_flex] = emitted
         traj.append((t, bd.sigma_sq))
         t += schedule.n_flex

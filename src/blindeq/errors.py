@@ -8,6 +8,6 @@ class ConfigError(ValueError):
 class DivergenceError(RuntimeError):
     """An adaptive equalizer produced a non-finite loss."""
 
-    def __init__(self, batch_index: int, message: str = ""):
+    def __init__(self, batch_index: int):
         self.batch_index = batch_index
-        super().__init__(message or f"non-finite loss at batch {batch_index}")
+        super().__init__(f"non-finite loss at batch {batch_index}")

@@ -19,12 +19,7 @@ _ROTATIONS = np.exp(1j * np.pi / 4.0 * np.arange(8))
 
 def slice_frames(x: np.ndarray, n_frame: int) -> np.ndarray:
     """Split a symbol vector into complete frames, shape (n_ind, n_frame)."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ConfigError(f"slice_frames expects a 1-D vector, got {x.shape}")
     n_ind = x.shape[0] // n_frame
-    if n_ind == 0:
-        raise ConfigError(f"need at least {n_frame} symbols, got {x.shape[0]}")
     return x[: n_ind * n_frame].reshape(n_ind, n_frame)
 
 
@@ -34,7 +29,6 @@ class Alignment:
     rotation: int       # index into the 8 pi/4 rotations
     conjugate: bool
     ser: float
-    n_eval: int
 
 
 # The I and Q decisions of x w^r, r = 0..7, then of conj(x) w^r, as rows of the
@@ -71,9 +65,9 @@ def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
     amplitude-normalized to the reference before decisions, removing the
     residual gain ambiguity of blind equalizers.  Only x, x w, -x and -x w are
     decided (-x not mirrored from x, as 0 and NaN decide one-sided).
+    The zero shift always leaves symbols to score, as ``ExperimentConfig``
+    rejects frames no longer than twice the edge trim.
     """
-    if x_hat.shape != ref.shape:
-        raise ConfigError(f"shape mismatch: {x_hat.shape} vs {ref.shape}")
     amp = np.mean(np.abs(x_hat))
     if amp > 0:
         x_hat = x_hat * (np.mean(np.abs(ref)) / amp)
@@ -94,23 +88,19 @@ def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
         k = int(np.argmin(err))
         ser = int(err[k]) / length
         if best is None or ser < best.ser:
-            best = Alignment(shift=s, rotation=k % 8, conjugate=k >= 8,
-                             ser=ser, n_eval=length)
-    if best is None:
-        raise ConfigError(f"edge_trim {edge_trim} leaves no symbols to compare")
+            best = Alignment(shift=s, rotation=k % 8, conjugate=k >= 8, ser=ser)
     return best
 
 
 def resolve_pol_pairing(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
-                        sigma_sq: float, frame: int = -1,
-                        n_frame: int = 10_000) -> tuple[int, ...]:
+                        sigma_sq: float, n_frame: int) -> tuple[int, ...]:
     """Run-level polarization assignment (identity or swap), decided once on
-    a single frame by total minimum SER."""
+    the last frame by total minimum SER."""
     pol = x_hat.shape[0]
     if pol == 1:
         return (0,)
-    frames_hat = [slice_frames(x_hat[p], n_frame)[frame] for p in range(pol)]
-    frames_ref = [slice_frames(ref[p], n_frame)[frame] for p in range(pol)]
+    frames_hat = [slice_frames(x_hat[p], n_frame)[-1] for p in range(pol)]
+    frames_ref = [slice_frames(ref[p], n_frame)[-1] for p in range(pol)]
     costs = {}
     for perm in ((0, 1), (1, 0)):
         costs[perm] = sum(
@@ -121,76 +111,55 @@ def resolve_pol_pairing(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
 
 def moving_average(x: np.ndarray, window: int = 10) -> np.ndarray:
     """Trailing-window mean over frame-wise values, length n - window + 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if window < 1 or window > x.shape[0]:
-        raise ConfigError(f"window {window} invalid for {x.shape[0]} frames")
     kernel = np.full(window, 1.0 / window)
     return np.convolve(x, kernel, mode="valid")
 
 
 def frame_ser_curve(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
-                    sigma_sq, n_frame: int = 10_000, edge_trim: int = 0,
-                    max_shift: int = 50) -> np.ndarray:
-    """Per-frame SER with per-frame ambiguity resolution, one polarization.
-
-    sigma_sq may be a scalar or a per-frame vector (estimates from training).
-    """
+                    sigma_sq: np.ndarray, n_frame: int, edge_trim: int = 0) -> np.ndarray:
+    """Per-frame SER with per-frame ambiguity resolution, one polarization;
+    sigma_sq holds one decision variance per frame."""
     fh = slice_frames(x_hat, n_frame)
     fr = slice_frames(ref[: fh.size], n_frame)
-    sig = np.broadcast_to(np.asarray(sigma_sq, dtype=np.float64), (fh.shape[0],))
     out = np.empty(fh.shape[0])
     for k in range(fh.shape[0]):
-        out[k] = resolve_ambiguity(fh[k], fr[k], c, float(sig[k]),
-                                   max_shift=max_shift, edge_trim=edge_trim).ser
+        out[k] = resolve_ambiguity(fh[k], fr[k], c, float(sigma_sq[k]),
+                                   edge_trim=edge_trim).ser
     return out
 
 
 @dataclass
 class SerReport:
     final_ser: float            # min over MA indices of the successful mean
-    ma_mean: np.ndarray         # mean MA curve over successful traces
     n_success: int              # successful (run, pol) traces
     n_fail: int
 
 
-def aggregate_runs(ma_curves: np.ndarray, threshold: float = 0.3) -> SerReport:
-    """Combine per-(run, pol) moving-average SER curves.
+def aggregate_runs(ma: np.ndarray, threshold: float = 0.3) -> SerReport:
+    """Combine per-(run, pol) moving-average SER curves, (n_traces, n_ma).
 
     A trace is successful iff its minimum MA value is below the threshold;
     unsuccessful traces are excluded from the mean but counted.  When every
     trace fails, the report carries final_ser = 1.0.
     """
-    ma = np.asarray(ma_curves, dtype=np.float64)
-    if ma.ndim != 2:
-        raise ConfigError(f"expected (n_traces, n_ma) curves, got {ma.shape}")
     success = ma.min(axis=1) < threshold
     n_s = int(success.sum())
     if n_s == 0:
-        return SerReport(final_ser=1.0, ma_mean=np.ones(ma.shape[1]),
-                         n_success=0, n_fail=ma.shape[0])
+        return SerReport(final_ser=1.0, n_success=0, n_fail=ma.shape[0])
     mean = ma[success].mean(axis=0)
-    return SerReport(final_ser=float(mean.min()), ma_mean=mean,
-                     n_success=n_s, n_fail=int(ma.shape[0] - n_s))
+    return SerReport(final_ser=float(mean.min()), n_success=n_s,
+                     n_fail=int(ma.shape[0] - n_s))
 
 
-def snr_report(sigma_sq, es: float = 1.0) -> np.ndarray:
-    """Estimated SNR in dB from noise-variance estimates (Es / sigma^2)."""
-    sig = np.asarray(sigma_sq, dtype=np.float64)
-    if np.any(sig <= 0):
+def snr_report(sigma_sq: np.ndarray) -> np.ndarray:
+    """Estimated SNR in dB from noise-variance estimates (unit Es / sigma^2)."""
+    if np.any(sigma_sq <= 0):
         raise ConfigError("noise-variance estimates must be positive")
-    return 10.0 * np.log10(es / sig)
+    return 10.0 * np.log10(1.0 / sigma_sq)
 
 
-@dataclass
-class IpReport:
-    nmse: float                 # normalized MSE after alignment, linear
-    nmse_db: float
-    shift: int
-    gain: complex               # complex scale applied to the true response
-
-
-def ip_report(h_est: np.ndarray, h_true: np.ndarray) -> IpReport:
-    """Compare an estimated impulse response against the truth.
+def ip_nmse_db(h_est: np.ndarray, h_true: np.ndarray) -> float:
+    """Compare an estimated impulse response against the truth, in dB.
 
     The estimate carries the blind delay/phase/gain ambiguity, so the truth
     is aligned by the correlation peak and a complex least-squares gain
@@ -213,6 +182,4 @@ def ip_report(h_est: np.ndarray, h_true: np.ndarray) -> IpReport:
     power = float(np.linalg.norm(aligned) ** 2)
     if power == 0.0:
         raise ConfigError("estimate has no component along the aligned truth")
-    nmse = err / power
-    return IpReport(nmse=nmse, nmse_db=10.0 * np.log10(max(nmse, 1e-30)),
-                    shift=lag, gain=gain)
+    return 10.0 * np.log10(max(err / power, 1e-30))

@@ -84,8 +84,6 @@ def nu_for_entropy(m: int, h_target: float, tol: float = 1e-9) -> float:
 
 def sample_symbols(c: Constellation, n: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. symbols at 1 sample/symbol, I and Q drawn independently."""
-    if n <= 0:
-        raise ConfigError(f"symbol count must be positive, got {n}")
     i_lev = rng.choice(c.n_levels, size=n, p=c.prior)
     q_lev = rng.choice(c.n_levels, size=n, p=c.prior)
     return c.levels[i_lev] + 1j * c.levels[q_lev]

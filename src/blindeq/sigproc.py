@@ -18,8 +18,6 @@ def rrc_taps(alpha: float, span: int, sps: int) -> np.ndarray:
         raise ConfigError(f"roll-off must be in [0, 1], got {alpha}")
     if span % 2 != 0 or span <= 0:
         raise ConfigError(f"span must be a positive even symbol count, got {span}")
-    if sps < 1:
-        raise ConfigError(f"samples per symbol must be >= 1, got {sps}")
     t = np.arange(-span * sps // 2, span * sps // 2 + 1, dtype=np.float64) / sps
     h = np.empty_like(t)
     if alpha == 0.0:
@@ -40,8 +38,6 @@ def rrc_taps(alpha: float, span: int, sps: int) -> np.ndarray:
 
 def upsample_zero_insert(x: np.ndarray, n_os: int) -> np.ndarray:
     """Insert (n_os - 1) zeros between consecutive samples; a new array."""
-    if n_os < 1:
-        raise ConfigError(f"oversampling factor must be >= 1, got {n_os}")
     out = np.zeros(x.shape[0] * n_os, dtype=np.complex128)
     out[::n_os] = x
     return out
@@ -58,6 +54,30 @@ def shape(symbols: np.ndarray, rrc: np.ndarray, n_os: int) -> np.ndarray:
     """Zero-insert symbols (1 sps) to n_os sps, then pulse-shape with
     centered convolution."""
     return convolve_same(upsample_zero_insert(symbols, n_os), rrc)
+
+
+def padded(pol: int, n: int, k: int, dtype):
+    """A zero (pol, n + 2 (k // 2)) array and its (pol, n) interior, a view."""
+    # zeros and a slice assignment: np.pad costs more than the rest of this
+    # for the short blocks of a VAE update
+    mh = k // 2
+    pad = np.zeros((pol, n + 2 * mh), dtype=dtype)
+    return pad, pad[:, mh: mh + n]
+
+
+def window_view(pad: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The (pol, n_sym, k) windows of a ``padded`` array on the stride grid;
+    a view, so it follows later writes to ``pad``."""
+    return np.lib.stride_tricks.sliding_window_view(pad, k, axis=1)[:, ::stride]
+
+
+def windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """The (pol, n_sym, k) windows of a (pol, n) array, centered, zero padded
+    by k // 2 at both ends, and on the stride grid: window j covers
+    x[:, j stride - k // 2: j stride + k // 2 + 1] for odd k."""
+    pad, inner = padded(x.shape[0], x.shape[1], k, x.dtype)
+    inner[:] = x
+    return window_view(pad, k, stride)
 
 
 def frequency_grid(n: int, n_os: int, symbol_rate: float) -> np.ndarray:

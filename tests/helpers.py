@@ -11,7 +11,7 @@ from scipy.special import erfc
 from blindeq import autodiff as ad
 from blindeq import equalize as eq
 from blindeq import evaluate as ev
-from blindeq import modem
+from blindeq import modem, sigproc
 from blindeq.errors import ConfigError
 
 
@@ -63,11 +63,11 @@ def _seeded_instance(params, forward, backward, rng: np.random.Generator):
             lambda: list(backward(seed)))
 
 
-def _conv_instance(x, w, stride, padding, rng: np.random.Generator):
+def _conv_instance(x, w, stride, rng: np.random.Generator):
     return _seeded_instance(
-        [x, w], lambda: ad.conv1d_full(x, w, stride, padding),
-        lambda g: (ad.conv1d_grad_x(g, w, x.shape[1], stride, padding),
-                   ad.conv1d_grad_w(g, x, w.shape[2], stride, padding)), rng)
+        [x, w], lambda: ad.conv1d_full(x, w, stride),
+        lambda g: (ad.conv1d_grad_x(g, w, x.shape[1], stride),
+                   ad.conv1d_grad_w(g, x, w.shape[2], stride)), rng)
 
 
 def _cnn_instance(rng: np.random.Generator, n_pol: int, n_os: int, k2: int):
@@ -89,15 +89,15 @@ def _cnn_instance(rng: np.random.Generator, n_pol: int, n_os: int, k2: int):
 
 def primitive_cases(rng: np.random.Generator):
     """(name, (params, loss, grads)) pairs covering the convolution's two
-    gradients and the CNN's whole reverse pass (biases, ELU and the grouped
-    softmax included)."""
+    gradients (odd kernels, padded by k // 2) and the CNN's whole reverse
+    pass (biases, ELU and the grouped softmax included)."""
     sig = rng.standard_normal((3, 9))
     ker = rng.standard_normal((2, 3, 3))
-    ker4 = rng.standard_normal((4, 3, 4))
+    ker5 = rng.standard_normal((4, 3, 5))
     return [
-        ("conv_plain", _conv_instance(sig, ker, 1, 0, rng)),
-        ("conv_stride_pad", _conv_instance(sig, ker, 2, 2, rng)),
-        ("conv_even_kernel", _conv_instance(sig, ker4, 3, 1, rng)),
+        ("conv_plain", _conv_instance(sig, ker, 1, rng)),
+        ("conv_stride", _conv_instance(sig, ker, 2, rng)),
+        ("conv_k5_stride3", _conv_instance(sig, ker5, 3, rng)),
         ("cnn_1pol", _cnn_instance(rng, n_pol=1, n_os=2, k2=3)),
         ("cnn_2pol_sym_spaced", _cnn_instance(rng, n_pol=2, n_os=1, k2=5)),
     ]
@@ -111,7 +111,7 @@ def vae_nn_forward_loop(rx: np.ndarray, state) -> np.ndarray:
     """Posteriors (pol, 2, n_sym, sqrt(M)) of the CNN decoder for rx."""
     chans = [part for p in range(rx.shape[0]) for part in (rx[p].real, rx[p].imag)]
     w1, b1, w2, b2 = state.w1, state.b1, state.w2, state.b2
-    p1, p2 = state.k1 // 2, state.k2 // 2
+    p1, p2 = w1.shape[2] // 2, w2.shape[2] // 2
     hidden = []
     for o in range(w1.shape[0]):
         acc = sum(np.convolve(np.pad(x, p1), w1[o, i], mode="valid")
@@ -142,15 +142,16 @@ def tiny_le_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
     n_b = 4
     n = (n_b + 2) * n_os  # one symbol of context on each side
     rx = rng.standard_normal((n_pol, n)) + 1j * rng.standard_normal((n_pol, n))
-    win = eq._windows(rx, state.f_eq, n_os)[1: 1 + n_b]
+    win = sigproc.windows(rx, state.f_eq, n_os).transpose(1, 0, 2)[1: 1 + n_b]
     batch = rx[:, n_os: (1 + n_b) * n_os]
+    ctx = eq.LossContext(n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2)
 
     def grads():
-        _, _, g_eq, g_ch = eq.vae_le_grads(state, win, batch, c)
+        _, _, g_eq, g_ch = eq.vae_le_grads(state, win, batch, c, ctx)
         return [eq._real_view(g_eq), eq._real_view(g_ch)]
 
     return (state.adam.params,
-            lambda: eq.vae_le_grads(state, win, batch, c)[1].total, grads)
+            lambda: eq.vae_le_grads(state, win, batch, c, ctx)[1].total, grads)
 
 
 def tiny_nn_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
@@ -163,13 +164,14 @@ def tiny_nn_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
     n_b = 4
     rx = (rng.standard_normal((n_pol, n_b * n_os))
           + 1j * rng.standard_normal((n_pol, n_b * n_os)))
+    ctx = eq.LossContext(n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2)
 
     def loss():
         q = eq.vae_nn_forward(rx, state)[0].reshape(n_pol, 2, n_b, -1)
-        return eq.vae_loss(rx, q, state.ch, c, n_os, edge_trim=state.f_ch // 2)[0].total
+        return eq.vae_loss(rx, q, state.ch, c, ctx)[0].total
 
     def grads():
-        _, _, g_net, g_ch = eq.vae_nn_grads(state, rx, c)
+        _, _, g_net, g_ch = eq.vae_nn_grads(state, rx, c, ctx)
         return [*g_net, eq._real_view(g_ch)]
 
     return state.adam.params, loss, grads
@@ -233,7 +235,7 @@ def resolve_ambiguity_exhaustive(x_hat, ref, c, sigma_sq, max_shift=50,
                 ser = np.count_nonzero((i_idx != ri) | (q_idx != rq)) / length
                 if best is None or ser < best.ser:
                     best = ev.Alignment(shift=s, rotation=r, conjugate=conj,
-                                        ser=ser, n_eval=length)
+                                        ser=ser)
     return best
 
 
@@ -249,7 +251,8 @@ def butterfly_apply(rx: np.ndarray, taps: np.ndarray, stride: int = 1) -> np.nda
     pol = rx.shape[0]
     if pol != taps.shape[0]:
         raise ConfigError(f"input has {pol} polarizations, filter {taps.shape[0]}")
-    return eq._filter_windows(taps, eq._windows(rx, taps.shape[2], stride))
+    win = sigproc.windows(rx, taps.shape[2], stride).transpose(1, 0, 2)
+    return eq._filter_windows(taps, win)
 
 
 def qam_awgn_ser(m: int, snr_db: float) -> float:

@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindeq import cli, config
-from blindeq.errors import ConfigError
+from blindeq.errors import ConfigError, DivergenceError
 
 
 def test_from_dict_validation():
@@ -205,6 +207,26 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     {"n_frame": 60, "n_ind": 1, "ma_window": 1, "taps": 25},  # edge trim 30 per end
     {"variant": "dp_optical", "n_frame": 62},          # edge trim 11 + 20
     {"n_frame": 40, "sweep": {"taps": [3, 15]}},       # only the 2nd point is bad
+    {"seed": -1},
+    {"seed": 1.5},
+    {"seed": True},
+    {"lr": float("nan")},
+    {"lr": -1e-3},
+    {"lr": float("inf")},
+    {"sweep": {"lr": [1e-3, -1e-3]}},                  # only the 2nd point is bad
+    {"snr_db": float("inf")},                          # CMA decides with sigma^2 = 0
+    {"kind": "MMSE-genie", "snr_db": float("inf")},
+    {"kind": "VAE-LE", "snr_db": float("-inf")},
+    {"kind": "VAE-LE", "snr_db": float("nan")},
+    {"variant": "dp_optical", "symbol_rate": 0},
+    {"variant": "dp_optical", "symbol_rate": float("inf")},  # a zero sample spacing
+    {"symbol_rate": -90e9},
+    {"variant": "dp_optical", "d_pmd": -0.1},
+    {"variant": "dp_optical", "l_pmd": -1000.0},
+    {"variant": "dp_optical", "d_pmd": float("inf"), "l_pmd": 0.0},
+    {"threshold": float("nan")},
+    {"threshold": 0},
+    {"threshold": 1.5},
 ])
 def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad):
     def no_run(*args):
@@ -220,6 +242,47 @@ def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad
     with pytest.raises(ConfigError):
         config.from_dict(dict(raw, **bad))
     config.from_dict(dict(raw, sweep={"taps": [11, 13]}))
+
+
+_NASTY = st.sampled_from([0.0, -1.0, float("inf"), float("-inf"), float("nan")])
+
+
+def _or_bad(valid, bad=_NASTY):
+    """Mostly a valid value, one draw in eight a bad one."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else valid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(config.EQUALIZER_KINDS),
+       variant=st.sampled_from(["awgn_isi", "dp_optical"]),
+       seed=_or_bad(st.integers(0, 50), st.sampled_from([-1, 1.5, True])),
+       lr=_or_bad(st.floats(0.0, 5e-3)),
+       snr_db=_or_bad(st.floats(10.0, 30.0)),
+       symbol_rate=_or_bad(st.sampled_from([32e9, 90e9])),
+       d_pmd=_or_bad(st.floats(0.0, 0.2)),
+       l_pmd=_or_bad(st.floats(0.0, 2000.0)),
+       threshold=_or_bad(st.floats(0.05, 1.0), st.sampled_from([0.0, 1.5, float("nan")])))
+def test_loaded_configs_run_at_tiny_scale(tmp_path_factory, kind, variant, seed, lr,
+                                          snr_db, symbol_rate, d_pmd, l_pmd, threshold):
+    # a config that loads runs to the end with every SER in [0, 1], or a
+    # VAE kind stops on a non-finite loss; anything else fails at load
+    raw = {"seed": seed, "kind": kind, "variant": variant, "lr": lr, "snr_db": snr_db,
+           "symbol_rate": symbol_rate, "d_pmd": d_pmd, "l_pmd": l_pmd,
+           "threshold": threshold, "m": 16, "taps": 5, "n_frame": 300, "n_ind": 1,
+           "ma_window": 1, "n_run": 1, "batch_symbols": 100, "flex_symbols": 50,
+           "cpe_window": 51, "k1": 5, "hidden": 4, "mmse_taps": 5}
+    try:
+        cfg = config.from_dict(raw)
+    except ConfigError:
+        return
+    out = tmp_path_factory.mktemp("run")
+    try:
+        config.run_experiment(cfg, str(out), workers=1)
+    except DivergenceError:
+        assert kind.startswith("VAE")
+        return
+    ser = np.loadtxt(out / "raw.csv", delimiter=",", skiprows=1, ndmin=2)[:, 4]
+    assert ser.shape == (cfg.n_pol,) and np.all((ser >= 0) & (ser <= 1))
 
 
 def test_cli_recipe_runs_with_overrides(tmp_path, monkeypatch, capsys):
