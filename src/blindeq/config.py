@@ -23,6 +23,9 @@ EQUALIZER_KINDS = ("CMA", "CMAbatch", "CMAflex", "VAE-LE", "VAE-NN",
                    "VAEflex", "MMSE-genie")
 SWEEP_KEYS = ("snr_db", "kind", "lr", "batch_symbols", "taps", "symbol_rate",
               "dgamma_hv", "entropy")
+# the values a number or bool field's annotation admits, and their name in errors
+_SCALAR_TYPES = {"int": ((int, np.integer), "an integer"), "bool": (bool, "true or false"),
+                 "float": ((int, float, np.integer, np.floating), "a finite number")}
 
 
 @dataclass
@@ -35,14 +38,14 @@ class ExperimentConfig:
     rolloff: float = 0.1
     rrc_span: int = 32
     h_sim: str = "h1"                    # h1 | h2 (awgn_isi only)
-    symbol_rate: float = 90e9
-    gamma_hv: float = 0.1 * np.pi
-    phi_iq: float = 0.01 * np.pi
-    d_pmd: float = 0.1
-    l_pmd: float = 1000.0
-    beta_cd: float = -26.0
-    l_cd: float = 1.0
-    dgamma_hv: float = 0.0
+    symbol_rate: float = 90e9            # Bd
+    gamma_hv: float = 0.1 * np.pi        # HV phase shift, rad
+    phi_iq: float = 0.01 * np.pi         # IQ phase shift, rad
+    d_pmd: float = 0.1                   # ps / sqrt(km)
+    l_pmd: float = 1000.0                # km
+    beta_cd: float = -26.0               # ps^2 / km
+    l_cd: float = 1.0                    # km (residual, uncompensated)
+    dgamma_hv: float = 0.0               # HV drift, rad / s
     m: int = 64
     nu: float = 0.0
     entropy: float | None = None         # overrides nu when given
@@ -59,7 +62,7 @@ class ExperimentConfig:
     k2: int = 3
     hidden: int | None = None
     mmse_taps: int = 20
-    n_frame: int = 10_000
+    n_frame: int = 10_000                # symbols per frame: the scoring and drift grid
     n_ind: int = 40
     n_run: int = 3
     threshold: float = 0.3
@@ -83,26 +86,30 @@ class ExperimentConfig:
         if self.sweep:
             sweep_points(self)  # each point re-enters here without a sweep
             return
-        # what a run would otherwise reject only mid-run
+        # what a run would otherwise reject only mid-run, first the types: an
+        # int field holds an int, a float field a finite int or float, a bool
+        # field a bool, and a bool is neither number
+        for f in fields(self):
+            v, want = getattr(self, f.name), f.type.removesuffix(" | None")
+            if want not in _SCALAR_TYPES or (v is None and want != f.type):
+                continue
+            types, word = _SCALAR_TYPES[want]
+            ok = isinstance(v, types) and (want == "bool") == isinstance(v, bool)
+            if ok and want == "float" and not -np.inf < v < np.inf:
+                # snr_db = +inf is a noiseless link, which only the VAE kinds can
+                # score: the others decide with the injected variance 0
+                ok = f.name == "snr_db" and v == np.inf and self.kind.startswith("VAE")
+            if not ok:
+                dot = " (YAML reads a float only with a dot: write 1.0e-3)"
+                raise ConfigError(f"{f.name} must be {word}, got {v!r}"
+                                  f"{dot if isinstance(v, str) else ''}")
         if not 1 <= self.ma_window <= self.n_ind:
             raise ConfigError(f"need 1 <= ma_window <= n_ind, got "
                               f"{self.ma_window}, {self.n_ind}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         # lr = 0 is legal: it freezes the taps, as CMA's mu = 0 does
-        if not (np.isfinite(self.lr) and self.lr >= 0):
-            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
-        # +inf is a noiseless link, which only the VAE kinds can score: the
-        # others decide with the injected variance 10^(-snr/10) = 0
-        if not (np.isfinite(self.snr_db) or (self.snr_db == np.inf
-                                             and self.kind.startswith("VAE"))):
-            raise ConfigError(f"snr_db must be finite (+inf only for the VAE kinds), "
-                              f"got {self.snr_db} for {self.kind}")
-        if not (0 < self.symbol_rate < np.inf and 0 <= self.d_pmd < np.inf
-                and 0 <= self.l_pmd < np.inf):
-            raise ConfigError(f"need a finite symbol_rate > 0 and finite d_pmd, l_pmd >= 0, "
-                              f"got {self.symbol_rate}, {self.d_pmd}, {self.l_pmd}")
+        if min(self.seed, self.lr, self.d_pmd, self.l_pmd) < 0 or self.symbol_rate <= 0:
+            raise ConfigError("need seed, lr, d_pmd, l_pmd >= 0 and symbol_rate > 0, got "
+                              f"{self.seed, self.lr, self.d_pmd, self.l_pmd, self.symbol_rate}")
         if not 0 < self.threshold <= 1:
             raise ConfigError(f"threshold must be in (0, 1], got {self.threshold}")
         flex = 1 if self.flex_symbols is None else self.flex_symbols
@@ -173,19 +180,10 @@ def config_digest(cfg: ExperimentConfig) -> str:
 # single-run pipeline
 
 
-def _channel_params(cfg: ExperimentConfig) -> ch.ChannelParams:
-    h = ch.H_SIM if cfg.h_sim == "h1" else ch.H_SIM_2
-    return ch.ChannelParams(h_sim=h, gamma_hv=cfg.gamma_hv,
-                            phi_iq=cfg.phi_iq, d_pmd=cfg.d_pmd, l_pmd=cfg.l_pmd,
-                            beta_cd=cfg.beta_cd, l_cd=cfg.l_cd,
-                            dgamma_hv=cfg.dgamma_hv, symbol_rate=cfg.symbol_rate,
-                            snr_db=cfg.snr_db, n_frame=cfg.n_frame)
-
-
 def _edge_trim(cfg: ExperimentConfig) -> int:
     """Symbols left unscored at each end of every frame: the equalizer's
     and the channel's memory."""
-    return cfg.taps + (len(_channel_params(cfg).h_sim) if cfg.variant == "awgn_isi" else 20)
+    return cfg.taps + (len(ch.H_SIMS[cfg.h_sim]) if cfg.variant == "awgn_isi" else 20)
 
 
 def _pulse(cfg: ExperimentConfig) -> np.ndarray | None:
@@ -206,44 +204,38 @@ def _transmit(cfg: ExperimentConfig, c: modem.Constellation,
     return tx_sym, tx_sig
 
 
-def _propagate(cfg: ExperimentConfig, tx_sig, params, rng):
+def _propagate(cfg: ExperimentConfig, tx_sig, rng):
     if cfg.variant == "dp_optical":
-        return np.stack(ch.dp_run(tx_sig[0], tx_sig[1], cfg.n_os, params, rng))
-    return ch.awgn_isi_apply(tx_sig[0], cfg.n_os, params, rng)[None, :]
+        return np.stack(ch.dp_run(tx_sig[0], tx_sig[1], cfg, rng))
+    return ch.awgn_isi_apply(tx_sig[0], cfg.n_os, ch.H_SIMS[cfg.h_sim], cfg.snr_db, rng)[None]
 
 
 def _update_schedule(cfg: ExperimentConfig) -> eq.UpdateSchedule:
     """VAE batch schedule; flex_symbols applies to VAEflex only."""
     flex = (cfg.flex_symbols if cfg.kind == "VAEflex" and cfg.flex_symbols is not None
             else cfg.batch_symbols)
-    return eq.UpdateSchedule(n_b=cfg.batch_symbols, n_flex=flex, lr=cfg.lr,
-                             scheduler=cfg.scheduler)
+    return eq.UpdateSchedule(cfg.batch_symbols, flex, cfg.lr, cfg.scheduler)
 
 
 def _equalize(cfg: ExperimentConfig, rx: np.ndarray, c, tx_sym, rng) -> eq.EqualizerResult:
     """Dispatch on the equalizer kind."""
     kind = cfg.kind
     if kind == "MMSE-genie":
-        _, out, _ = eq.mmse_baseline(rx[0], tx_sym[0],
-                                     n_taps=cfg.mmse_taps * cfg.n_os,
-                                     sps=cfg.n_os)
+        _, out, _ = eq.mmse_baseline(rx[0], tx_sym[0], cfg.mmse_taps * cfg.n_os, cfg.n_os)
         return eq.EqualizerResult(out=out[None, :])
     if kind in ("CMA", "CMAbatch", "CMAflex"):
         n_b = None if kind == "CMA" else cfg.batch_symbols
         n_flex = (cfg.flex_symbols if kind == "CMAflex" else None)
-        out, _, corr = eq.cma_run(rx, c, cfg.taps, cfg.lr, cfg.n_os,
-                                  n_frame=cfg.n_frame, scheduler=cfg.scheduler,
-                                  n_batch=n_b, n_flex=n_flex)
-        out = eq.viterbi_viterbi_cpe(out, window=cfg.cpe_window)
+        out, _, corr = eq.cma_run(rx, c, cfg.taps, cfg.lr, cfg.n_os, cfg.n_frame,
+                                  cfg.scheduler, n_batch=n_b, n_flex=n_flex)
+        out = eq.viterbi_viterbi_cpe(out, cfg.cpe_window)
         return eq.EqualizerResult(out=out, singularity_corr=corr)
+    f_ch = cfg.ch_taps or cfg.taps
     if kind == "VAE-NN":
-        state = eq.VaeNnState(cfg.n_pol, cfg.n_os, cfg.m, cfg.k1, cfg.k2,
-                              f_ch=cfg.ch_taps or cfg.taps, rng=rng,
+        state = eq.VaeNnState(cfg.n_pol, cfg.n_os, cfg.m, cfg.k1, cfg.k2, f_ch, rng,
                               hidden=cfg.hidden)
     else:
-        state = eq.VaeLeState(cfg.n_pol, cfg.n_os, cfg.taps,
-                              f_ch=cfg.ch_taps,
-                              matched_demapper=cfg.matched_demapper)
+        state = eq.VaeLeState(cfg.n_pol, cfg.n_os, cfg.taps, f_ch, cfg.matched_demapper)
     return eq.run_vae(rx, c, state, _update_schedule(cfg), n_frame=cfg.n_frame)
 
 
@@ -261,20 +253,16 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(master_seed, sweep_idx, run_idx)))
     c = modem.build_constellation(cfg.m, cfg.effective_nu())
-    params = _channel_params(cfg)
     tx_sym, tx_sig = _transmit(cfg, c, rng)
-    rx = _propagate(cfg, tx_sig, params, rng)
+    rx = _propagate(cfg, tx_sig, rng)
     t0 = time.perf_counter()
     res = _equalize(cfg, rx, c, tx_sym, rng)
     wall = time.perf_counter() - t0
 
     # decision variance: estimated trajectory for the VAE family, the true
     # injected value otherwise
-    sigma_true = 10.0 ** (-cfg.snr_db / 10.0)
-    if res.sigma_traj is not None:
-        sig_frames = _per_frame_sigma(cfg, res.sigma_traj)
-    else:
-        sig_frames = np.full(cfg.n_ind, sigma_true)
+    sig_frames = (_per_frame_sigma(cfg, res.sigma_traj) if res.sigma_traj is not None
+                  else np.full(cfg.n_ind, 10.0 ** (-cfg.snr_db / 10.0)))
 
     # run-level polarization pairing, then per-frame ambiguity resolution;
     # MAP decisions see the per-component noise variance
@@ -283,9 +271,8 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
     edge = _edge_trim(cfg)
     curves = np.empty((cfg.n_pol, cfg.n_ind))
     for p in range(cfg.n_pol):
-        curves[p] = ev.frame_ser_curve(res.out[pairing[p]], tx_sym[p], c,
-                                       sig_frames / 2.0, n_frame=cfg.n_frame,
-                                       edge_trim=edge)
+        curves[p] = ev.frame_ser_curve(res.out[pairing[p]], tx_sym[p], c, sig_frames / 2.0,
+                                       cfg.n_frame, edge)
     record = {
         "run": run_idx,
         "frame_ser": curves,
@@ -298,7 +285,7 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
         record["snr_est_db"] = ev.snr_report(sig_frames)
     if res.ch_taps is not None and cfg.variant == "awgn_isi":
         # the channel model learns the pulse convolved with the channel
-        h_true = ch.oversampled_impulse_response(params.h_sim, cfg.n_os, _pulse(cfg))
+        h_true = ch.oversampled_impulse_response(ch.H_SIMS[cfg.h_sim], cfg.n_os, _pulse(cfg))
         record["ip_nmse_db"] = ev.ip_nmse_db(res.ch_taps[0, 0], h_true)
     return record
 
@@ -333,9 +320,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
     All randomness derives from cfg.seed, the sweep index, and the run
     index, so outputs are byte-identical across repeats and worker counts.
     """
-    os.makedirs(out_dir, exist_ok=True)
     if workers is None:
-        workers = int(os.environ.get("BLINDEQ_WORKERS", "1"))
+        env = os.environ.get("BLINDEQ_WORKERS", "1")
+        workers = int(env) if env.isdecimal() else env
+    if not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"the worker count must be an integer >= 1, got {workers!r}")
+    os.makedirs(out_dir, exist_ok=True)
     points = sweep_points(cfg)
     jobs = [(pt, r, cfg.seed, i)
             for i, pt in enumerate(points) for r in range(cfg.n_run)]

@@ -118,7 +118,7 @@ def lr_schedule(k: int, eps0: float) -> float:
 
 
 def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
-            n_frame: int, scheduler: bool = False,
+            n_frame: int, scheduler: bool,
             n_batch: int | None = None, n_flex: int | None = None):
     """Run a CMA over a sample stream; returns (out, taps, singularity_corr).
 
@@ -194,7 +194,7 @@ def _singularity_correlation(taps: np.ndarray) -> float:
     return float(np.abs(a @ np.conj(b)) / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-30))
 
 
-def viterbi_viterbi_cpe(x: np.ndarray, window: int = 501) -> np.ndarray:
+def viterbi_viterbi_cpe(x: np.ndarray, window: int) -> np.ndarray:
     """Fourth-power carrier phase estimation with a sliding average.
 
     The estimate phi_i = arg(-sum x^4)/4 carries the conventional pi/4
@@ -216,7 +216,7 @@ def viterbi_viterbi_cpe(x: np.ndarray, window: int = 501) -> np.ndarray:
 _MMSE_RIDGE, _MMSE_MAX_DELAY = 1e-12, 4
 
 
-def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int = 20, sps: int = 1):
+def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int, sps: int):
     """Genie-aided linear MMSE equalizer (symbol- or fractionally spaced).
 
     Least-squares over the tap vector with centered, symbol-strided windows
@@ -402,7 +402,7 @@ class UpdateSchedule:
     n_b: int                 # batch length in symbols
     n_flex: int              # advance per update, 1..n_b
     lr: float                # initial learning rate
-    scheduler: bool = False  # halve lr per 20 frame indices
+    scheduler: bool          # halve lr per 20 frame indices
 
     def __post_init__(self):
         if not 1 <= self.n_flex <= self.n_b:
@@ -414,9 +414,7 @@ class VaeLeState:
     variational inference: (pol, pol, F) complex taps, both convolution-
     oriented, (h * x)[p, n] = sum_q,t h[p, q, t] x[q, n + F // 2 - t]."""
 
-    def __init__(self, n_pol: int, n_os: int, f_eq: int, f_ch: int | None = None,
-                 matched_demapper: bool = True):
-        f_ch = f_eq if f_ch is None else f_ch
+    def __init__(self, n_pol: int, n_os: int, f_eq: int, f_ch: int, matched_demapper: bool):
         self.n_pol, self.n_os = n_pol, n_os
         self.f_eq, self.f_ch = f_eq, f_ch
         self.matched_demapper = matched_demapper

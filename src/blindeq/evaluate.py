@@ -109,14 +109,14 @@ def resolve_pol_pairing(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
     return min(costs, key=costs.get)
 
 
-def moving_average(x: np.ndarray, window: int = 10) -> np.ndarray:
+def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     """Trailing-window mean over frame-wise values, length n - window + 1."""
     kernel = np.full(window, 1.0 / window)
     return np.convolve(x, kernel, mode="valid")
 
 
 def frame_ser_curve(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
-                    sigma_sq: np.ndarray, n_frame: int, edge_trim: int = 0) -> np.ndarray:
+                    sigma_sq: np.ndarray, n_frame: int, edge_trim: int) -> np.ndarray:
     """Per-frame SER with per-frame ambiguity resolution, one polarization;
     sigma_sq holds one decision variance per frame."""
     fh = slice_frames(x_hat, n_frame)
@@ -135,7 +135,7 @@ class SerReport:
     n_fail: int
 
 
-def aggregate_runs(ma: np.ndarray, threshold: float = 0.3) -> SerReport:
+def aggregate_runs(ma: np.ndarray, threshold: float) -> SerReport:
     """Combine per-(run, pol) moving-average SER curves, (n_traces, n_ma).
 
     A trace is successful iff its minimum MA value is below the threshold;

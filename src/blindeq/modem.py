@@ -139,7 +139,7 @@ def _decide_component(v: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
 
 
 def soft_demap(x_hat: np.ndarray, c: Constellation, sigma_sq: float,
-               matched: bool = True) -> np.ndarray:
+               matched: bool) -> np.ndarray:
     """Per-symbol, per-component posterior approximations.
 
     Returns an array of shape (N, 2, sqrt(M)); axis 1 is (I, Q).  With

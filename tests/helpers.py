@@ -136,7 +136,7 @@ def tiny_le_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
     """Small linear-decoder batch: (params, loss, grads), where params are
     the float views of the taps that Adam steps."""
     c = modem.build_constellation(4, 0.0)
-    state = eq.VaeLeState(n_pol=n_pol, n_os=n_os, f_eq=5, f_ch=3)
+    state = eq.VaeLeState(n_pol=n_pol, n_os=n_os, f_eq=5, f_ch=3, matched_demapper=True)
     for p in state.adam.params:
         p += 0.1 * rng.standard_normal(p.shape)
     n_b = 4

@@ -37,8 +37,7 @@ def _mmse_gate_ser(snr_db: float, nu: float, seed: int,
     rng = np.random.default_rng(seed)
     c = modem.build_constellation(64, nu)
     s = modem.sample_symbols(c, n, rng)
-    p = ch.ChannelParams(h_sim=ch.H_SIM.copy(), snr_db=snr_db)
-    rx = ch.awgn_isi_apply(s, 1, p, rng)
+    rx = ch.awgn_isi_apply(s, 1, ch.H_SIM, snr_db, rng)
     _, out, _ = eq.mmse_baseline(rx, s, n_taps=20, sps=1)
     sl = slice(50, -50)
     i, q = modem.map_decide(out[sl], c, 10.0 ** (-snr_db / 10.0) / 2.0)

@@ -6,6 +6,12 @@ import pytest
 
 from blindeq import channel as ch
 from blindeq import modem, sigproc
+from blindeq.config import ExperimentConfig
+
+
+def _dp(**kw) -> ExperimentConfig:
+    """A dual-polarization link config, checked at load like any other."""
+    return ExperimentConfig(seed=0, variant="dp_optical", **kw)
 
 
 def test_isi_tap_tables():
@@ -44,9 +50,8 @@ def test_awgn_isi_noiseless_is_convolution():
     c = modem.build_constellation(4, 0.0)
     s = modem.sample_symbols(c, 200, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    p = ch.ChannelParams(snr_db=np.inf)
-    out = ch.awgn_isi_apply(tx, 2, p, rng)
-    h = ch.oversampled_impulse_response(p.h_sim, 2)
+    out = ch.awgn_isi_apply(tx, 2, ch.H_SIM, np.inf, rng)
+    h = ch.oversampled_impulse_response(ch.H_SIM, 2)
     assert np.allclose(out, sigproc.convolve_same(tx, h))
 
 
@@ -56,8 +61,7 @@ def test_awgn_isi_snr_calibration():
     c = modem.build_constellation(16, 0.0)
     s = modem.sample_symbols(c, 400_000, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    p = ch.ChannelParams(h_sim=np.array([1.0 + 0j]), snr_db=15.0)
-    out = ch.awgn_isi_apply(tx, 2, p, rng)
+    out = ch.awgn_isi_apply(tx, 2, np.array([1.0 + 0j]), 15.0, rng)
     noise = out - tx
     es = float(np.mean(np.abs(s) ** 2))
     # the receiver decimates to 1 sps, so N0 is the per-sample noise power
@@ -67,17 +71,17 @@ def test_awgn_isi_snr_calibration():
 
 
 def test_dp_matrix_unitary():
-    p = ch.ChannelParams()
+    cfg = _dp()
     f = np.linspace(-90e9, 90e9, 41)
-    h = ch.dp_channel_matrix(f, p, p.gamma_hv)
+    h = ch.dp_channel_matrix(f, cfg, cfg.gamma_hv)
     for k in range(f.shape[0]):
         m = h[:, :, k]
         assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
 
 
 def test_dp_matrix_no_pmd_is_scalar_phase():
-    p = ch.ChannelParams(d_pmd=0.0, l_cd=0.0)
-    h = ch.dp_channel_matrix(np.array([1e9, 5e9]), p, p.gamma_hv)
+    cfg = _dp(d_pmd=0.0, l_cd=0.0)
+    h = ch.dp_channel_matrix(np.array([1e9, 5e9]), cfg, cfg.gamma_hv)
     # without birefringence the rotation cancels: no cross-talk
     assert np.allclose(h[0, 1], 0.0, atol=1e-12)
     assert np.allclose(h[1, 0], 0.0, atol=1e-12)
@@ -87,27 +91,34 @@ def test_dp_matrix_no_pmd_is_scalar_phase():
 def test_dp_matrix_full_swap_at_45deg_half_dgd():
     # at 45 degrees and pi tau f = pi/2 the delay branches interfere
     # destructively on the diagonal: complete polarization swap
-    p = ch.ChannelParams()
-    f_swap = 1.0 / (2.0 * p.tau_pmd)
-    h = ch.dp_channel_matrix(np.array([f_swap]), p, np.pi / 4)
+    cfg = _dp()
+    tau = cfg.d_pmd * np.sqrt(cfg.l_pmd) * 1e-12  # DGD: ps / sqrt(km) times sqrt(km)
+    h = ch.dp_channel_matrix(np.array([1.0 / (2.0 * tau)]), cfg, np.pi / 4)
     assert abs(h[0, 0, 0]) < 1e-12 and abs(h[1, 1, 0]) < 1e-12
     assert abs(abs(h[0, 1, 0]) - 1.0) < 1e-12
 
 
 def test_gamma_schedule():
-    p = ch.ChannelParams(gamma_hv=0.1, dgamma_hv=9e4, symbol_rate=90e9,
-                         n_frame=10_000)
-    assert p.gamma_eff(0) == 0.1
-    assert abs(p.gamma_eff(3) - (0.1 + 9e4 * 3 * 10_000 / 90e9)) < 1e-15
-    assert abs(p.tau_pmd - 0.1 * np.sqrt(1000.0) * 1e-12) < 1e-30
+    # frame k sees the HV angle gamma_hv + dgamma_hv k n_frame / symbol_rate
+    cfg = _dp(gamma_hv=0.1, dgamma_hv=9e4, symbol_rate=90e9, n_frame=10_000)
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    b = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    f = sigproc.frequency_grid(512, cfg.n_os, 90e9)
+    for k, gamma in ((0, 0.1), (3, 0.1 + 9e4 * 3 * 10_000 / 90e9)):
+        h = ch.dp_channel_matrix(f, cfg, gamma)
+        fa, fb = np.fft.fft(a), np.fft.fft(b)
+        ref = [np.fft.ifft(h[p, 0] * fa + h[p, 1] * fb) for p in (0, 1)]
+        assert np.allclose(ch.dp_apply(a, b, cfg, k), ref, rtol=0, atol=1e-12)
+    # the drift is visible: frame 3 is not frame 0
+    assert not np.allclose(ch.dp_apply(a, b, cfg, 3), ch.dp_apply(a, b, cfg, 0), atol=1e-3)
 
 
 def test_dp_apply_energy_conserving():
     rng = np.random.default_rng(3)
     a = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
     b = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
-    p = ch.ChannelParams(snr_db=np.inf)
-    out_a, out_b = ch.dp_apply(a, b, 2, p, 0)
+    out_a, out_b = ch.dp_apply(a, b, _dp(snr_db=np.inf), 0)
     e_in = np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2)
     e_out = np.sum(np.abs(out_a) ** 2) + np.sum(np.abs(out_b) ** 2)
     assert abs(e_out / e_in - 1.0) < 1e-12
@@ -123,12 +134,12 @@ def test_dp_run_matches_single_frame():
     rrc = sigproc.rrc_taps(0.1, 32, 2)
     a = sigproc.shape(modem.sample_symbols(c, n, rng), rrc, 2)
     b = sigproc.shape(modem.sample_symbols(c, n, rng), rrc, 2)
-    p = ch.ChannelParams(snr_db=np.inf, dgamma_hv=0.0, n_frame=5_000)
-    ra, rb = ch.dp_apply(a, b, 2, p, 0)
+    cfg = _dp(snr_db=np.inf, dgamma_hv=0.0, n_frame=5_000)
+    ra, rb = ch.dp_apply(a, b, cfg, 0)
     sl = slice(2048, 2 * n - 2048)  # skip the stream edges
 
     def err(guard):
-        fa, fb = ch.dp_run(a, b, 2, p, rng, guard=guard)
+        fa, fb = ch.dp_run(a, b, cfg, rng, guard=guard)
         return max(np.max(np.abs(fa[sl] - ra[sl])), np.max(np.abs(fb[sl] - rb[sl])))
 
     e_small, e_large = err(256), err(4096)
@@ -141,8 +152,7 @@ def test_dp_run_time_varying_changes_frames():
     n = 8_000
     a = np.ones(n, dtype=np.complex128)
     b = np.zeros(n, dtype=np.complex128)
-    p = ch.ChannelParams(snr_db=np.inf, dgamma_hv=5e5, n_frame=2_000)
-    _, out_b = ch.dp_run(a, b, 2, p, rng)
+    _, out_b = ch.dp_run(a, b, _dp(snr_db=np.inf, dgamma_hv=5e5, n_frame=2_000), rng)
     # leakage into the orthogonal polarization grows with the rotation drift
     first = np.mean(np.abs(out_b[500:3500]))
     last = np.mean(np.abs(out_b[-3500:-500]))

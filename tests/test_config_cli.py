@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindeq import cli, config
+from blindeq import cli, config, modem
 from blindeq.errors import ConfigError, DivergenceError
 
 
@@ -171,6 +171,32 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_cli_rejects_yaml_float_without_dot(tmp_path, capsys):
+    # YAML 1.1 needs the dot: `lr: 1e-3` loads as the string '1e-3'
+    path = tmp_path / "exp.yaml"
+    path.write_text("seed: 11\nkind: CMA\nm: 16\ntaps: 11\nn_frame: 1000\n"
+                    "n_ind: 3\nma_window: 2\nlr: 1e-3\n")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "1.0e-3" in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    ([], "two"),                                       # BLINDEQ_WORKERS is not a number
+    (["--workers", "-3"], None),
+    (["--workers", "0"], None),
+])
+def test_cli_rejects_bad_worker_count(tmp_path, capsys, monkeypatch, argv, env):
+    def no_run(*args):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(config, "run_single", no_run)
+    if env is not None:
+        monkeypatch.setenv("BLINDEQ_WORKERS", env)
+    assert cli.main(["recipe", "awgn-h2", "--n-ind", "10", "--n-run", "1",
+                     "--out", str(tmp_path / "x"), *argv]) == 2
+    assert "worker count" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [
     {"ma_window": 4},                                  # more than n_ind = 3
     {"ma_window": 0},
@@ -227,6 +253,19 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     {"threshold": float("nan")},
     {"threshold": 0},
     {"threshold": 1.5},
+    {"lr": "1e-3"},                                    # YAML 1.1 reads 1e-3 as a string
+    {"variant": "dp_optical", "symbol_rate": "90e9"},
+    {"taps": 5.0},
+    {"n_ind": 2.5},
+    {"lr": True},
+    {"scheduler": "yes"},
+    {"scheduler": 1},
+    {"variant": "dp_optical", "gamma_hv": float("nan")},
+    {"variant": "dp_optical", "phi_iq": float("inf")},
+    {"variant": "dp_optical", "beta_cd": float("-inf")},
+    {"variant": "dp_optical", "l_cd": float("nan")},
+    {"variant": "dp_optical", "dgamma_hv": float("inf")},
+    {"sweep": {"dgamma_hv": [0.0, float("nan")]}},     # only the 2nd point is bad
 ])
 def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad):
     def no_run(*args):
@@ -245,6 +284,7 @@ def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad
 
 
 _NASTY = st.sampled_from([0.0, -1.0, float("inf"), float("-inf"), float("nan")])
+_NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
 
 
 def _or_bad(valid, bad=_NASTY):
@@ -252,7 +292,7 @@ def _or_bad(valid, bad=_NASTY):
     return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else valid)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(config.EQUALIZER_KINDS),
        variant=st.sampled_from(["awgn_isi", "dp_optical"]),
        seed=_or_bad(st.integers(0, 50), st.sampled_from([-1, 1.5, True])),
@@ -261,20 +301,32 @@ def _or_bad(valid, bad=_NASTY):
        symbol_rate=_or_bad(st.sampled_from([32e9, 90e9])),
        d_pmd=_or_bad(st.floats(0.0, 0.2)),
        l_pmd=_or_bad(st.floats(0.0, 2000.0)),
-       threshold=_or_bad(st.floats(0.05, 1.0), st.sampled_from([0.0, 1.5, float("nan")])))
+       threshold=_or_bad(st.floats(0.05, 1.0), st.sampled_from([0.0, 1.5, float("nan")])),
+       link=st.fixed_dictionaries({
+           "gamma_hv": _or_bad(st.floats(-4.0, 4.0), _NON_FINITE),
+           "phi_iq": _or_bad(st.floats(-4.0, 4.0), _NON_FINITE),
+           "beta_cd": _or_bad(st.floats(-30.0, 30.0), _NON_FINITE),
+           "l_cd": _or_bad(st.floats(0.0, 10.0), _NON_FINITE),
+           "dgamma_hv": _or_bad(st.floats(0.0, 1e5), _NON_FINITE)}))
 def test_loaded_configs_run_at_tiny_scale(tmp_path_factory, kind, variant, seed, lr,
-                                          snr_db, symbol_rate, d_pmd, l_pmd, threshold):
-    # a config that loads runs to the end with every SER in [0, 1], or a
-    # VAE kind stops on a non-finite loss; anything else fails at load
+                                          snr_db, symbol_rate, d_pmd, l_pmd, threshold,
+                                          link):
+    # a config that loads propagates to finite samples and runs to the end
+    # with every SER in [0, 1], or a VAE kind stops on a non-finite loss;
+    # anything else fails at load
     raw = {"seed": seed, "kind": kind, "variant": variant, "lr": lr, "snr_db": snr_db,
            "symbol_rate": symbol_rate, "d_pmd": d_pmd, "l_pmd": l_pmd,
            "threshold": threshold, "m": 16, "taps": 5, "n_frame": 300, "n_ind": 1,
            "ma_window": 1, "n_run": 1, "batch_symbols": 100, "flex_symbols": 50,
-           "cpe_window": 51, "k1": 5, "hidden": 4, "mmse_taps": 5}
+           "cpe_window": 51, "k1": 5, "hidden": 4, "mmse_taps": 5, **link}
     try:
         cfg = config.from_dict(raw)
     except ConfigError:
         return
+    # SER in [0, 1] cannot show a NaN link: its decisions still count errors
+    rng = np.random.default_rng(0)
+    _, tx_sig = config._transmit(cfg, modem.build_constellation(cfg.m, cfg.effective_nu()), rng)
+    assert np.all(np.isfinite(config._propagate(cfg, tx_sig, rng)))
     out = tmp_path_factory.mktemp("run")
     try:
         config.run_experiment(cfg, str(out), workers=1)

@@ -161,7 +161,8 @@ def test_cma_run_divergence_flags_rest_of_stream():
     c = modem.build_constellation(4, 0.0)
     rx = rng.standard_normal((2, 400)) + 1j * rng.standard_normal((2, 400))
     for n_b in (None, 10):
-        out, taps, corr = eq.cma_run(rx, c, 5, 1e6, 2, n_frame=50, n_batch=n_b)
+        out, taps, corr = eq.cma_run(rx, c, 5, 1e6, 2, n_frame=50, scheduler=False,
+                                     n_batch=n_b)
         assert not np.all(np.isfinite(taps))
         assert np.all(np.isnan(out[:, 50:]))  # every symbol after frame 0
         assert np.isnan(corr)
@@ -179,10 +180,9 @@ def test_cma_run_recovers_qpsk():
     c = modem.build_constellation(4, 0.0)
     s = modem.sample_symbols(c, 30_000, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    p = ch.ChannelParams(snr_db=25.0)
-    rx = ch.awgn_isi_apply(tx, 2, p, rng)
-    out, taps, corr = eq.cma_run(rx, c, 15, 2e-3, 2, n_frame=5_000)
-    out = eq.viterbi_viterbi_cpe(out)
+    rx = ch.awgn_isi_apply(tx, 2, ch.H_SIM, 25.0, rng)
+    out, taps, corr = eq.cma_run(rx, c, 15, 2e-3, 2, n_frame=5_000, scheduler=False)
+    out = eq.viterbi_viterbi_cpe(out, window=501)
     assert out.shape == (1, 30_000)
     assert corr == 0.0  # single polarization
     align = ev.resolve_ambiguity(out[0, -5_000:], s[-5_000:], c, 0.005)
@@ -217,8 +217,7 @@ def test_mmse_baseline_fractionally_spaced():
     c = modem.build_constellation(16, 0.0)
     s = modem.sample_symbols(c, 20_000, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    p = ch.ChannelParams(snr_db=np.inf)
-    rx = ch.awgn_isi_apply(tx, 2, p, rng)
+    rx = ch.awgn_isi_apply(tx, 2, ch.H_SIM, np.inf, rng)
     _, out, _ = eq.mmse_baseline(rx, s, n_taps=40, sps=2)
     mse = np.mean(np.abs(out[100:-100] - s[100:-100]) ** 2)
     assert mse < 1e-2
@@ -269,9 +268,9 @@ def test_adam_complex_view_is_real_and_imaginary_parts():
 
 def test_update_schedule_validation():
     with pytest.raises(ConfigError):
-        eq.UpdateSchedule(n_b=10, n_flex=11, lr=1e-3)
+        eq.UpdateSchedule(n_b=10, n_flex=11, lr=1e-3, scheduler=False)
     with pytest.raises(ConfigError):
-        eq.UpdateSchedule(n_b=10, n_flex=0, lr=1e-3)
+        eq.UpdateSchedule(n_b=10, n_flex=0, lr=1e-3, scheduler=False)
 
 
 def test_vae_loss_one_hot_oracle():
@@ -336,8 +335,8 @@ def test_vae_le_step_learns_identity_channel():
     rx = ch.add_awgn(tx, ch.noise_sigma_sq(tx, 2, 15.0),
                      rng)[None, :]
     rx = rx / np.sqrt(np.mean(np.abs(rx) ** 2) * 2)  # unit symbol energy
-    state = eq.VaeLeState(1, 2, f_eq=11, f_ch=11)
-    sched = eq.UpdateSchedule(n_b=n_b, n_flex=n_b, lr=2e-3)
+    state = eq.VaeLeState(1, 2, f_eq=11, f_ch=11, matched_demapper=True)
+    sched = eq.UpdateSchedule(n_b=n_b, n_flex=n_b, lr=2e-3, scheduler=False)
     # the batch starts a few symbols in, so its windows see the samples around it
     win = sigproc.windows(rx, state.f_eq, 2).transpose(1, 0, 2)[3: 3 + n_b]
     batch = rx[:, 6: 6 + 2 * n_b]
@@ -357,8 +356,8 @@ def test_run_vae_covers_tail():
     s = modem.sample_symbols(c, 1_050, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
     rx = ch.add_awgn(tx, ch.noise_sigma_sq(tx, 2, 18.0), rng)
-    state = eq.VaeLeState(1, 2, f_eq=7, f_ch=7)
-    sched = eq.UpdateSchedule(n_b=250, n_flex=250, lr=1e-3)
+    state = eq.VaeLeState(1, 2, f_eq=7, f_ch=7, matched_demapper=True)
+    sched = eq.UpdateSchedule(n_b=250, n_flex=250, lr=1e-3, scheduler=False)
     res = eq.run_vae(rx[None, :], c, state, sched, n_frame=10_000)
     assert res.out.shape == (1, 1_050)
     assert res.sigma_traj.shape == (4, 2)
@@ -368,7 +367,7 @@ def test_run_vae_covers_tail():
     full = butterfly_apply(rxn, state.eq, stride=2)
     assert np.allclose(res.out[:, 1_000:], full[:, 1_000:], rtol=0, atol=1e-12)
     # a stream shorter than one batch is all tail, at the initial filters
-    short = eq.VaeLeState(1, 2, f_eq=7, f_ch=7)
+    short = eq.VaeLeState(1, 2, f_eq=7, f_ch=7, matched_demapper=True)
     res = eq.run_vae(rx[None, :400], c, short, sched, n_frame=10_000)
     ref = butterfly_apply(eq._unit_power(rx[None, :400]) / np.sqrt(2),
                              short.eq, stride=2)
@@ -383,7 +382,7 @@ def test_run_vae_nn_covers_tail():
     tx = sigproc.upsample_zero_insert(s, 2)
     rx = ch.add_awgn(tx, ch.noise_sigma_sq(tx, 2, 18.0), rng)
     state = eq.VaeNnState(1, 2, 4, k1=5, k2=3, f_ch=7, rng=rng, hidden=4)
-    sched = eq.UpdateSchedule(n_b=350, n_flex=350, lr=1e-3)
+    sched = eq.UpdateSchedule(n_b=350, n_flex=350, lr=1e-3, scheduler=False)
     res = eq.run_vae(rx[None, :], c, state, sched, n_frame=10_000)
     assert res.sigma_traj.shape == (1, 2)
     assert np.count_nonzero(res.out == 0) == 0
@@ -436,7 +435,7 @@ def test_vae_nn_update_is_two_conv_nodes_and_five_adam_arrays(monkeypatch):
     rng = np.random.default_rng(0)
     state = eq.VaeNnState(2, 2, 64, k1=29, k2=3, f_ch=25, rng=rng)
     rx = rng.standard_normal((2, 700)) + 1j * rng.standard_normal((2, 700))
-    eq.vae_nn_step(state, rx, c, eq.UpdateSchedule(n_b=350, n_flex=350, lr=1e-3), 1e-3,
+    eq.vae_nn_step(state, rx, c, eq.UpdateSchedule(350, 350, 1e-3, scheduler=False), 1e-3,
                    eq.LossContext(2, 700, 25, 2, 12))
     assert calls == {"conv1d_full": 2, "backward": 1}
     assert len(state.adam.params) == 5
@@ -448,9 +447,9 @@ def test_vae_step_stops_on_non_finite_loss(kind):
     # Adam, sigma^2 or the count change
     rng = np.random.default_rng(21)
     c = modem.build_constellation(4, 0.0)
-    sched = eq.UpdateSchedule(n_b=8, n_flex=8, lr=1e-3)
+    sched = eq.UpdateSchedule(n_b=8, n_flex=8, lr=1e-3, scheduler=False)
     rx = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
-    state = (eq.VaeLeState(1, 2, f_eq=3) if kind == "VAE-LE" else
+    state = (eq.VaeLeState(1, 2, f_eq=3, f_ch=3, matched_demapper=True) if kind == "VAE-LE" else
              eq.VaeNnState(1, 2, 4, k1=3, k2=3, f_ch=3, rng=rng, hidden=2))
     ctx = eq.LossContext(1, 16, 3, 2, 1)
 
@@ -472,6 +471,6 @@ def test_vae_step_stops_on_non_finite_loss(kind):
 
 def test_vae_state_validation():
     with pytest.raises(ConfigError):
-        eq.VaeLeState(1, 2, f_eq=10)
+        eq.VaeLeState(1, 2, f_eq=10, f_ch=11, matched_demapper=True)
     with pytest.raises(ConfigError):
-        eq.VaeLeState(1, 2, f_eq=11, f_ch=4)
+        eq.VaeLeState(1, 2, f_eq=11, f_ch=4, matched_demapper=True)

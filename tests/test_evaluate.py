@@ -36,7 +36,7 @@ def test_aggregate_runs():
     assert rep.n_success == 2 and rep.n_fail == 1
     # the mean of the successful traces is [0.45, 0.225, 0.2]
     assert rep.final_ser == pytest.approx(0.2)
-    all_fail = ev.aggregate_runs(np.full((2, 3), 0.9))
+    all_fail = ev.aggregate_runs(np.full((2, 3), 0.9), threshold=0.3)
     assert all_fail.final_ser == 1.0 and all_fail.n_success == 0
 
 
@@ -170,7 +170,7 @@ def test_frame_ser_curve():
     assert curve.shape == (3,)
     assert np.all(curve < 1e-3)
     per_frame = ev.frame_ser_curve(x, ref, c, np.array([0.01, 0.02, 0.01]),
-                                   n_frame=2_000)
+                                   n_frame=2_000, edge_trim=0)
     assert np.all(per_frame < 1e-3)
 
 

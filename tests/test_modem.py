@@ -167,6 +167,6 @@ def test_map_decide_matches_argmax_posterior(s2, seed):
 def test_demap_rejects_bad_variance():
     c = modem.build_constellation(4, 0.0)
     with pytest.raises(ConfigError):
-        modem.soft_demap(np.array([1j]), c, 0.0)
+        modem.soft_demap(np.array([1j]), c, 0.0, matched=True)
     with pytest.raises(ConfigError):
         modem.map_decide(np.array([1j]), c, -1.0)
