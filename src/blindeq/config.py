@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown shaping {self.shaping!r}")
         if self.h_sim not in ("h1", "h2"):
             raise ConfigError(f"h_sim must be 'h1' or 'h2', got {self.h_sim!r}")
+        if not isinstance(self.sweep, dict):
+            raise ConfigError(f"sweep must be a mapping of axis to values, got {self.sweep!r}")
         for key in self.sweep:
             if key not in SWEEP_KEYS:
                 raise ConfigError(f"cannot sweep over {key!r}; "
@@ -135,8 +137,10 @@ class ExperimentConfig:
         if self.n_frame <= 2 * _edge_trim(self):
             raise ConfigError(f"n_frame {self.n_frame} must exceed twice the edge trim "
                               f"{_edge_trim(self)}, or no symbol is scored")
-        if self.kind in ("VAE-LE", "VAE-NN", "VAEflex"):
-            _update_schedule(self)  # 1 <= n_flex <= n_b, as the run needs
+        if self.kind.startswith("VAE"):
+            n_b, n_flex = _update_block(self)
+            if n_flex > n_b:  # an update emits at most its batch
+                raise ConfigError(f"need flex_symbols <= batch_symbols, got {n_flex}, {n_b}")
             if self.n_ind * self.n_frame < self.batch_symbols:
                 raise ConfigError("the stream (n_ind * n_frame) is shorter than one batch")
 
@@ -210,11 +214,15 @@ def _propagate(cfg: ExperimentConfig, tx_sig, rng):
     return ch.awgn_isi_apply(tx_sig[0], cfg.n_os, ch.H_SIMS[cfg.h_sim], cfg.snr_db, rng)[None]
 
 
-def _update_schedule(cfg: ExperimentConfig) -> eq.UpdateSchedule:
-    """VAE batch schedule; flex_symbols applies to VAEflex only."""
-    flex = (cfg.flex_symbols if cfg.kind == "VAEflex" and cfg.flex_symbols is not None
-            else cfg.batch_symbols)
-    return eq.UpdateSchedule(cfg.batch_symbols, flex, cfg.lr, cfg.scheduler)
+def _update_block(cfg: ExperimentConfig) -> tuple[int, int]:
+    """The adaptive receiver's (n_b, n_flex): train on n_b symbols, advance
+    by n_flex.  CMA is symbol-wise; flex_symbols applies to CMAflex and
+    VAEflex only, and defaults to batch_symbols."""
+    if cfg.kind == "CMA":
+        return 1, 1
+    if cfg.kind in ("CMAflex", "VAEflex") and cfg.flex_symbols is not None:
+        return cfg.batch_symbols, cfg.flex_symbols
+    return cfg.batch_symbols, cfg.batch_symbols
 
 
 def _equalize(cfg: ExperimentConfig, rx: np.ndarray, c, tx_sym, rng) -> eq.EqualizerResult:
@@ -223,11 +231,10 @@ def _equalize(cfg: ExperimentConfig, rx: np.ndarray, c, tx_sym, rng) -> eq.Equal
     if kind == "MMSE-genie":
         _, out, _ = eq.mmse_baseline(rx[0], tx_sym[0], cfg.mmse_taps * cfg.n_os, cfg.n_os)
         return eq.EqualizerResult(out=out[None, :])
-    if kind in ("CMA", "CMAbatch", "CMAflex"):
-        n_b = None if kind == "CMA" else cfg.batch_symbols
-        n_flex = (cfg.flex_symbols if kind == "CMAflex" else None)
+    n_b, n_flex = _update_block(cfg)
+    if kind.startswith("CMA"):
         out, _, corr = eq.cma_run(rx, c, cfg.taps, cfg.lr, cfg.n_os, cfg.n_frame,
-                                  cfg.scheduler, n_batch=n_b, n_flex=n_flex)
+                                  cfg.scheduler, n_b, n_flex)
         out = eq.viterbi_viterbi_cpe(out, cfg.cpe_window)
         return eq.EqualizerResult(out=out, singularity_corr=corr)
     f_ch = cfg.ch_taps or cfg.taps
@@ -236,7 +243,7 @@ def _equalize(cfg: ExperimentConfig, rx: np.ndarray, c, tx_sym, rng) -> eq.Equal
                               hidden=cfg.hidden)
     else:
         state = eq.VaeLeState(cfg.n_pol, cfg.n_os, cfg.taps, f_ch, cfg.matched_demapper)
-    return eq.run_vae(rx, c, state, _update_schedule(cfg), n_frame=cfg.n_frame)
+    return eq.run_vae(rx, c, state, n_b, n_flex, cfg.lr, cfg.scheduler, cfg.n_frame)
 
 
 def _per_frame_sigma(cfg, sigma_traj):

@@ -33,12 +33,10 @@ def dirac_taps(n_pol: int, n_taps: int) -> np.ndarray:
 
 
 def _filter_windows(taps: np.ndarray, win: np.ndarray) -> np.ndarray:
-    """Convolve a block of (n, pol, F) windows, or their (n, pol * F)
-    flattening, with (pol, pol, F) convolution-oriented taps; returns
+    """Filter a block of (n, pol, F) windows, or their (n, pol * F)
+    flattening, with (pol, pol, F) correlation-oriented taps; returns
     (pol, n)."""
-    # the windows, like the CMA taps, are correlation-oriented, hence the flip
-    flipped = taps[:, :, ::-1].reshape(taps.shape[0], -1)
-    return _taps_dot(flipped, win.reshape(win.shape[0], -1)).T
+    return _taps_dot(taps.reshape(taps.shape[0], -1), win.reshape(win.shape[0], -1)).T
 
 
 def _taps_dot(taps_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -118,25 +116,24 @@ def lr_schedule(k: int, eps0: float) -> float:
 
 
 def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
-            n_frame: int, scheduler: bool,
-            n_batch: int | None = None, n_flex: int | None = None):
-    """Run a CMA over a sample stream; returns (out, taps, singularity_corr).
+            n_frame: int, scheduler: bool, n_batch: int, n_flex: int):
+    """Run a CMA over a (pol, n) sample stream; returns (out, taps,
+    singularity_corr).
 
     The taps, (pol, pol, F), are correlation-oriented: output p at symbol k
     is sum_q,t taps[p, q, t] rx[q, k sps - F // 2 + t].
 
-    The taps are fixed for the first n_b symbols.  After that they are
-    updated every n_flex symbols by mu times the mean of the last n_b Godard
-    directions, each computed at the taps in force when its symbol was
-    equalized.  n_batch=None gives the classical symbol-wise update
-    (n_b = n_flex = 1), which ``cma_block`` runs up to _CMA_BLOCK symbols at
-    a time; otherwise n_b = n_batch and n_flex defaults to it.
+    The taps are fixed for the first n_b = n_batch symbols.  After that they
+    are updated every n_flex symbols by mu times the mean of the last n_b
+    Godard directions, each computed at the taps in force when its symbol was
+    equalized.  n_b = n_flex = 1 is the classical symbol-wise update, which
+    ``cma_block`` runs up to _CMA_BLOCK symbols at a time.
     At every frame start the scheduler, when enabled, halves mu per 20 frame
     indices, and non-finite taps stop the run with the rest of the output NaN.
     ``ExperimentConfig`` checks n_batch and n_flex >= 1 at load; n_flex = 0
     is not an update period, and fails here with a raw ValueError.
     """
-    rx = _unit_power(np.atleast_2d(rx))
+    rx = _unit_power(rx)
     pol = rx.shape[0]
     r2 = godard_radius(c)
     taps = dirac_taps(pol, n_taps)
@@ -144,9 +141,7 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
     win = windows(rx, n_taps, sps).transpose(1, 0, 2)    # (n_sym, pol, F)
     n_sym = win.shape[0]
     out = np.empty((pol, n_sym), dtype=np.complex128)
-    symbolwise = n_batch is None  # cma_block then applies every update itself
-    n_batch = 1 if symbolwise else n_batch
-    n_flex = n_batch if n_flex is None else n_flex
+    symbolwise = n_batch == n_flex == 1  # cma_block then applies every update itself
     # ring buffer: symbol k's direction sits in slot k % n_batch, and the
     # mean runs in slot order
     dirs = np.zeros((n_batch, pol, pol * n_taps), dtype=np.complex128)
@@ -243,6 +238,10 @@ def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int, sps: int):
 # Adam
 
 
+# the moment decay rates and the denominator's guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction over a list of float arrays.
 
@@ -251,10 +250,8 @@ class Adam:
     its own.
     """
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
         self.t = 0
@@ -262,12 +259,12 @@ class Adam:
     def step(self, grads, lr: float) -> None:
         """One update from ``grads``, one array per parameter."""
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - _BETA1 ** self.t
+        b2c = 1.0 - _BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m += (1.0 - _BETA1) * (g - m)
+            v += (1.0 - _BETA2) * (g * g - v)
+            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + _EPS)
 
 
 def _real_view(z: np.ndarray) -> np.ndarray:
@@ -287,7 +284,6 @@ class LossBreakdown:
     c_dist: tuple                    # distortion term per polarization
     sigma_sq: float                  # closed-form noise-variance estimate
     total: float                     # sum_p (A_p + N ln C_p)
-    n_eff: int                       # samples per polarization entering C
 
 
 class LossContext:
@@ -354,7 +350,7 @@ def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
     var = (q @ lev_sq - ex ** 2).sum(axis=1)              # (pol, n_sym)
     mean = ex[:, 0] + 1j * ex[:, 1]
     ctx.up_sym[...] = mean
-    resid = ctx.mask * (_filter_windows(h, ctx.up_win) - rx)
+    resid = ctx.mask * (_filter_windows(h[:, :, ::-1], ctx.up_win) - rx)
     spread = var @ mwin                                   # (pol, F)
     h_sq = np.abs(h) ** 2
     c_vals = (np.abs(resid) ** 2).sum(axis=1) + (h_sq * spread).sum(axis=(1, 2))
@@ -383,7 +379,7 @@ def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
     bd = LossBreakdown(a_kl=float(a_kl.sum()),
                        c_dist=tuple(c_vals.tolist()),
                        sigma_sq=float(c_vals.sum()) / (pol * n_eff),
-                       total=total, n_eff=n_eff)
+                       total=total)
     return bd, g_q, g_h
 
 
@@ -397,22 +393,11 @@ def _components(z: np.ndarray) -> np.ndarray:
 # VAE-LE / VAE-NN states and update steps
 
 
-@dataclass
-class UpdateSchedule:
-    n_b: int                 # batch length in symbols
-    n_flex: int              # advance per update, 1..n_b
-    lr: float                # initial learning rate
-    scheduler: bool          # halve lr per 20 frame indices
-
-    def __post_init__(self):
-        if not 1 <= self.n_flex <= self.n_b:
-            raise ConfigError(f"need 1 <= n_flex <= n_b, got {self.n_flex}, {self.n_b}")
-
-
 class VaeLeState:
     """Butterfly equalizer ``eq`` and channel model ``ch`` trained by
-    variational inference: (pol, pol, F) complex taps, both convolution-
-    oriented, (h * x)[p, n] = sum_q,t h[p, q, t] x[q, n + F // 2 - t]."""
+    variational inference, both (pol, pol, F) complex taps.  ``eq`` is
+    correlation-oriented, like the CMA taps; ``ch`` models the channel and is
+    convolution-oriented, (h * x)[p, n] = sum_q,t h[p, q, t] x[q, n + F // 2 - t]."""
 
     def __init__(self, n_pol: int, n_os: int, f_eq: int, f_ch: int, matched_demapper: bool):
         self.n_pol, self.n_os = n_pol, n_os
@@ -448,22 +433,21 @@ def vae_le_grads(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
     comps = _components(x_hat.T)
     g_comp = (g_logit * (c.levels - comps[..., None])).sum(axis=-1) / s2
     gx = g_comp[:, 0] + 1j * g_comp[:, 1]
-    # and through x_hat = flipped taps x windows
+    # and through x_hat = taps x windows
     g_eq = (gx @ np.conj(wflat)).reshape(state.eq.shape)
-    return x_hat, bd, g_eq[:, :, ::-1], g_ch
+    return x_hat, bd, g_eq, g_ch
 
 
 def vae_le_step(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
-                c: Constellation, schedule: UpdateSchedule, lr: float,
-                ctx: LossContext):
-    """One mini-batch update at learning rate ``lr``; returns (first n_flex
-    symbols per pol, breakdown).
+                c: Constellation, lr: float, ctx: LossContext):
+    """One mini-batch update at learning rate ``lr``; returns (the batch's
+    equalized symbols per pol, breakdown).
 
     ``win``, ``rx_batch`` and ``ctx`` are as for ``vae_le_grads``.
     """
     x_hat, bd, g_eq, g_ch = vae_le_grads(state, win, rx_batch, c, ctx)
     _update(state, bd, [_real_view(g_eq), _real_view(g_ch)], lr)
-    return x_hat[:, : schedule.n_flex], bd
+    return x_hat, bd
 
 
 def _update(state, bd: LossBreakdown, grads, lr: float) -> None:
@@ -541,12 +525,12 @@ def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
 
 
 def vae_nn_step(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
-                schedule: UpdateSchedule, lr: float, ctx: LossContext):
-    """One CNN-decoder mini-batch at learning rate ``lr``; emits soft symbols
-    E_Q[x] per pol."""
+                lr: float, ctx: LossContext):
+    """One CNN-decoder mini-batch at learning rate ``lr``; emits the batch's
+    soft symbols E_Q[x] per pol."""
     q, bd, g_net, g_ch = vae_nn_grads(state, rx_batch, c, ctx)
     _update(state, bd, [*g_net, _real_view(g_ch)], lr)
-    return _soft_symbols(q, c)[:, : schedule.n_flex], bd
+    return _soft_symbols(q, c), bd
 
 
 def _soft_symbols(q: np.ndarray, c: Constellation) -> np.ndarray:
@@ -573,42 +557,41 @@ class EqualizerResult:
     singularity_corr: float = 0.0
 
 
-def run_vae(rx: np.ndarray, c: Constellation, state, schedule: UpdateSchedule,
-            n_frame: int) -> EqualizerResult:
-    """Online training pass over the whole stream (VAE-LE or VAE-NN).
+def run_vae(rx: np.ndarray, c: Constellation, state, n_b: int, n_flex: int,
+            lr0: float, scheduler: bool, n_frame: int) -> EqualizerResult:
+    """Online training pass over a (pol, n) sample stream (VAE-LE or VAE-NN).
 
+    Each update trains on the next n_b symbols and emits the first n_flex
+    of them; the scheduler, when enabled, halves lr0 per 20 frame indices.
     The input is normalized to unit symbol energy (sample power 1 / n_os),
     so the closed-form noise-variance estimate lives on the same scale as
     the unit-energy constellation fed to the demapper.
     """
     n_os = state.n_os
-    rx = _unit_power(np.atleast_2d(rx)) / np.sqrt(n_os)
+    rx = _unit_power(rx) / np.sqrt(n_os)
     n_sym = rx.shape[1] // n_os
     out = np.zeros((state.n_pol, n_sym), dtype=np.complex128)
     is_le = isinstance(state, VaeLeState)
     if is_le:
         win = windows(rx, state.f_eq, n_os).transpose(1, 0, 2)  # (n_sym, pol, F)
-    ctx = LossContext(state.n_pol, schedule.n_b * n_os, state.f_ch, n_os,
-                      state.f_ch // 2)
+    ctx = LossContext(state.n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2)
     traj = []
     t = 0
-    while t + schedule.n_b <= n_sym:
-        batch = rx[:, t * n_os: (t + schedule.n_b) * n_os]
-        lr = (lr_schedule(t // n_frame, schedule.lr) if schedule.scheduler
-              else schedule.lr)
+    while t + n_b <= n_sym:
+        batch = rx[:, t * n_os: (t + n_b) * n_os]
+        lr = lr_schedule(t // n_frame, lr0) if scheduler else lr0
         if is_le:
-            emitted, bd = vae_le_step(state, win[t: t + schedule.n_b], batch, c,
-                                      schedule, lr, ctx)
+            emitted, bd = vae_le_step(state, win[t: t + n_b], batch, c, lr, ctx)
         else:
-            emitted, bd = vae_nn_step(state, batch, c, schedule, lr, ctx)
-        out[:, t: t + schedule.n_flex] = emitted
+            emitted, bd = vae_nn_step(state, batch, c, lr, ctx)
+        out[:, t: t + n_flex] = emitted[:, :n_flex]
         traj.append((t, bd.sigma_sq))
-        t += schedule.n_flex
+        t += n_flex
     # tail shorter than a batch: the final weights, no update, with left context
     if t < n_sym and is_le:
         out[:, t:] = _filter_windows(state.eq, win[t:n_sym])
     elif t < n_sym:
-        lo = max(n_sym - schedule.n_b, 0)
+        lo = max(n_sym - n_b, 0)
         q, _ = vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state)
         out[:, t:] = _soft_symbols(q, c)[:, t - lo:]
     corr = (_singularity_correlation(state.eq)

@@ -12,7 +12,7 @@ invariant under the normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +21,9 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Constellation:
-    m: int                      # modulation order (perfect square)
-    nu: float                   # shaping parameter on integer levels, >= 0
     levels: np.ndarray          # sqrt(M) scaled amplitude levels, increasing
     prior: np.ndarray           # per-level Maxwell-Boltzmann probabilities
-    scale: float                # integer level -> scaled level factor
-    nu_scaled: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nu_scaled",
-                           self.nu / self.scale ** 2 if self.scale > 0 else 0.0)
+    nu_scaled: float            # shaping parameter on the scaled levels
 
     @property
     def n_levels(self) -> int:
@@ -50,7 +43,7 @@ def build_constellation(m: int, nu: float = 0.0) -> Constellation:
     # E[|x|^2] = E[(x^I)^2] + E[(x^Q)^2] with independent components
     energy_2d = 2.0 * float(prior @ ints ** 2)
     scale = 1.0 / math.sqrt(energy_2d)
-    return Constellation(m=m, nu=nu, levels=ints * scale, prior=prior, scale=scale)
+    return Constellation(levels=ints * scale, prior=prior, nu_scaled=nu / scale ** 2)
 
 
 def entropy(c: Constellation) -> float:

@@ -252,7 +252,8 @@ def butterfly_apply(rx: np.ndarray, taps: np.ndarray, stride: int = 1) -> np.nda
     if pol != taps.shape[0]:
         raise ConfigError(f"input has {pol} polarizations, filter {taps.shape[0]}")
     win = sigproc.windows(rx, taps.shape[2], stride).transpose(1, 0, 2)
-    return eq._filter_windows(taps, win)
+    # the equalizers' taps are correlation-oriented: flip for a convolution
+    return eq._filter_windows(taps[:, :, ::-1], win)
 
 
 def qam_awgn_ser(m: int, snr_db: float) -> float:

@@ -266,6 +266,9 @@ def test_cli_rejects_bad_worker_count(tmp_path, capsys, monkeypatch, argv, env):
     {"variant": "dp_optical", "l_cd": float("nan")},
     {"variant": "dp_optical", "dgamma_hv": float("inf")},
     {"sweep": {"dgamma_hv": [0.0, float("nan")]}},     # only the 2nd point is bad
+    {"sweep": 5},                                      # a sweep maps axes to values
+    {"sweep": ["kind"]},
+    {"sweep": None},
 ])
 def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad):
     def no_run(*args):
@@ -377,6 +380,37 @@ def test_per_frame_sigma_uses_no_later_update():
                                   n_frame=1000, n_ind=8, ma_window=8)
     traj = np.array([[0, .5], [2500, .2], [5000, .1]])
     assert config._per_frame_sigma(cfg, traj).tolist() == [.5, .5, .2, .2, .2, .1, .1, .1]
+
+
+@pytest.mark.parametrize("kind, flex, block", [
+    ("CMA", None, (1, 1)), ("CMA", 10, (1, 1)),
+    ("CMAbatch", None, (100, 100)), ("CMAbatch", 10, (100, 100)),
+    ("CMAflex", None, (100, 100)), ("CMAflex", 10, (100, 10)),
+    ("VAE-LE", None, (100, 100)), ("VAE-LE", 10, (100, 100)),
+    ("VAE-NN", None, (100, 100)), ("VAE-NN", 10, (100, 100)),
+    ("VAEflex", None, (100, 100)), ("VAEflex", 10, (100, 10)),
+    ("MMSE-genie", None, (100, 100)), ("MMSE-genie", 10, (100, 100)),
+])
+def test_update_block_per_kind(kind, flex, block):
+    # (n_b, n_flex): CMA is symbol-wise, and only the flex kinds read
+    # flex_symbols, which defaults to batch_symbols
+    cfg = config.ExperimentConfig(seed=1, kind=kind, m=16, batch_symbols=100,
+                                  flex_symbols=flex, n_frame=1000, n_ind=2, ma_window=2)
+    assert config._update_block(cfg) == block
+
+
+def test_cmabatch_of_one_symbol_is_cma():
+    # n_b = n_flex = 1 is the symbol-wise update, whichever kind asks for it
+    cfg = config.ExperimentConfig(seed=3, variant="dp_optical", kind="CMA", m=16, taps=11,
+                                  batch_symbols=1, n_frame=1000, n_ind=2, ma_window=2)
+    c = modem.build_constellation(cfg.m, cfg.effective_nu())
+    rng = np.random.default_rng(3)
+    tx_sym, tx_sig = config._transmit(cfg, c, rng)
+    rx = config._propagate(cfg, tx_sig, rng)
+    cma = config._equalize(cfg, rx, c, tx_sym, rng)
+    batch = config._equalize(replace(cfg, kind="CMAbatch"), rx, c, tx_sym, rng)
+    assert np.array_equal(batch.out, cma.out)
+    assert batch.singularity_corr == cma.singularity_corr
 
 
 def test_cli_recipe_overrides_parse():
