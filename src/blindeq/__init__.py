@@ -7,4 +7,4 @@ __version__ = "0.1.0"
 # not cli: importing it here would make `python -m blindeq.cli` warn that the
 # module was already imported when it starts as __main__
 from . import autodiff, channel, config, equalize, evaluate, modem, sigproc  # noqa: F401
-from .errors import ConfigError, DivergenceError  # noqa: F401
+from .errors import ConfigError  # noqa: F401

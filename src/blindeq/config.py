@@ -98,13 +98,17 @@ class ExperimentConfig:
             types, word = _SCALAR_TYPES[want]
             ok = isinstance(v, types) and (want == "bool") == isinstance(v, bool)
             if ok and want == "float" and not -np.inf < v < np.inf:
-                # snr_db = +inf is a noiseless link, which only the VAE kinds can
-                # score: the others decide with the injected variance 0
-                ok = f.name == "snr_db" and v == np.inf and self.kind.startswith("VAE")
+                ok = f.name == "snr_db" and v == np.inf  # a noiseless link
             if not ok:
-                dot = " (YAML reads a float only with a dot: write 1.0e-3)"
+                hint = " (YAML reads a float only with a dot and a signed exponent: 1.0e-3)"
                 raise ConfigError(f"{f.name} must be {word}, got {v!r}"
-                                  f"{dot if isinstance(v, str) else ''}")
+                                  f"{hint if isinstance(v, str) else ''}")
+        try:  # the noise factor the link injects; the non-VAE kinds also decide with it
+            noise = 10.0 ** (-float(self.snr_db) / 10.0)
+        except OverflowError:
+            noise = np.inf
+        if noise == np.inf or noise == 0 and not self.kind.startswith("VAE"):
+            raise ConfigError(f"snr_db {self.snr_db} gives {self.kind} a noise factor {noise}")
         if not 1 <= self.ma_window <= self.n_ind:
             raise ConfigError(f"need 1 <= ma_window <= n_ind, got "
                               f"{self.ma_window}, {self.n_ind}")
@@ -169,8 +173,11 @@ def from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path, "rb") as fh:  # PyYAML reports undecodable bytes
+            raw = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     return from_dict(raw or {})
 
 

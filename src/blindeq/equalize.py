@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError
 from .modem import Constellation, soft_demap
 from .sigproc import convolve_same, padded, window_view, windows
 
@@ -407,7 +407,6 @@ class VaeLeState:
         self.ch = dirac_taps(n_pol, f_ch)
         self.adam = Adam([self.eq.view(np.float64), self.ch.view(np.float64)])
         self.sigma_sq = 1.0          # unit signal energy before the first batch
-        self.batch_count = 0
 
 
 def vae_le_grads(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
@@ -451,13 +450,10 @@ def vae_le_step(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
 
 
 def _update(state, bd: LossBreakdown, grads, lr: float) -> None:
-    """The step both decoders share: stop on a non-finite loss, else one Adam
-    step and the new sigma^2 and batch count."""
-    if not np.isfinite(bd.total):
-        raise DivergenceError(state.batch_count)
-    state.adam.step(grads, lr)
-    state.sigma_sq = bd.sigma_sq
-    state.batch_count += 1
+    """The decoders' shared step: Adam and the new sigma^2, skipped on a non-finite loss."""
+    if np.isfinite(bd.total):
+        state.adam.step(grads, lr)
+        state.sigma_sq = bd.sigma_sq
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +487,6 @@ class VaeNnState:
         self.ch = dirac_taps(n_pol, f_ch)
         self.adam = Adam([self.w1, self.b1, self.w2, self.b2, self.ch.view(np.float64)])
         self.sigma_sq = 1.0
-        self.batch_count = 0
         self.f_ch = f_ch
 
 
@@ -577,16 +572,20 @@ def run_vae(rx: np.ndarray, c: Constellation, state, n_b: int, n_flex: int,
     ctx = LossContext(state.n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2)
     traj = []
     t = 0
-    while t + n_b <= n_sym:
-        batch = rx[:, t * n_os: (t + n_b) * n_os]
-        lr = lr_schedule(t // n_frame, lr0) if scheduler else lr0
-        if is_le:
-            emitted, bd = vae_le_step(state, win[t: t + n_b], batch, c, lr, ctx)
-        else:
-            emitted, bd = vae_nn_step(state, batch, c, lr, ctx)
-        out[:, t: t + n_flex] = emitted[:, :n_flex]
-        traj.append((t, bd.sigma_sq))
-        t += n_flex
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t + n_b <= n_sym:
+            batch = rx[:, t * n_os: (t + n_b) * n_os]
+            lr = lr_schedule(t // n_frame, lr0) if scheduler else lr0
+            if is_le:
+                emitted, bd = vae_le_step(state, win[t: t + n_b], batch, c, lr, ctx)
+            else:
+                emitted, bd = vae_nn_step(state, batch, c, lr, ctx)
+            if not np.isfinite(bd.total):  # diverged: flag the rest NaN, as cma_run does
+                out[:, t:] = np.nan
+                return EqualizerResult(out, np.array(traj), None, float("nan"))
+            out[:, t: t + n_flex] = emitted[:, :n_flex]
+            traj.append((t, bd.sigma_sq))
+            t += n_flex
     # tail shorter than a batch: the final weights, no update, with left context
     if t < n_sym and is_le:
         out[:, t:] = _filter_windows(state.eq, win[t:n_sym])

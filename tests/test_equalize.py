@@ -1,6 +1,8 @@
 """Equalizers: CMA family, carrier phase estimation, the genie MMSE
 baseline, Adam, and the variational loss."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from blindeq import channel as ch
 from blindeq import equalize as eq
 from blindeq import evaluate as ev
 from blindeq import modem, sigproc
-from blindeq.errors import ConfigError, DivergenceError
+from blindeq.errors import ConfigError
 from helpers import butterfly_apply, vae_nn_forward_loop
 
 
@@ -434,8 +436,8 @@ def test_vae_nn_update_is_two_conv_nodes_and_five_adam_arrays(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["VAE-LE", "VAE-NN"])
 def test_vae_step_stops_on_non_finite_loss(kind):
-    # one finite update counts and moves sigma^2; a NaN batch raises before
-    # Adam, sigma^2 or the count change
+    # one finite update moves sigma^2; a NaN batch returns with Adam and
+    # sigma^2 as they were
     rng = np.random.default_rng(21)
     c = modem.build_constellation(4, 0.0)
     rx = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
@@ -450,13 +452,34 @@ def test_vae_step_stops_on_non_finite_loss(kind):
         return eq.vae_nn_step(state, x, c, 1e-3, ctx)
 
     step(rx)
-    assert state.batch_count == 1 and state.sigma_sq != 1.0
+    assert state.sigma_sq != 1.0
     before = [p.copy() for p in state.adam.params]
     sigma_sq, t = state.sigma_sq, state.adam.t
-    with pytest.raises(DivergenceError):
-        step(np.full_like(rx, np.nan))
-    assert (state.batch_count, state.sigma_sq, state.adam.t) == (1, sigma_sq, t)
+    _, bd = step(np.full_like(rx, np.nan))
+    assert not np.isfinite(bd.total)
+    assert (state.sigma_sq, state.adam.t) == (sigma_sq, t)
     assert all(np.array_equal(a, b) for a, b in zip(before, state.adam.params))
+
+
+@pytest.mark.parametrize("kind", ["VAE-LE", "VAE-NN"])
+def test_run_vae_divergence_flags_rest_of_stream(kind):
+    # at lr 1e200 the first update blows the weights up and a later batch's
+    # loss is non-finite: the run stops there, with no warning, as cma_run does
+    rng = np.random.default_rng(22)
+    c = modem.build_constellation(16, 0.0)
+    rx = rng.standard_normal((1, 2_000)) + 1j * rng.standard_normal((1, 2_000))
+    state = (eq.VaeLeState(1, 2, f_eq=7, f_ch=7, matched_demapper=True) if kind == "VAE-LE" else
+             eq.VaeNnState(1, 2, 16, k1=5, k2=3, f_ch=7, rng=rng, hidden=4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = eq.run_vae(rx, c, state, 100, 50, 1e200, False, n_frame=500)
+    stop = int(np.argmax(np.isnan(res.out[0])))
+    assert 0 < stop < 900 and stop % 50 == 0          # at an update's first symbol
+    assert np.all(np.isfinite(res.out[:, :stop])) and np.all(np.isnan(res.out[:, stop:]))
+    # one row per finite update, each the update's start and a finite sigma^2
+    np.testing.assert_array_equal(res.sigma_traj[:, 0], np.arange(0, stop, 50))
+    assert np.all(np.isfinite(res.sigma_traj))
+    assert res.ch_taps is None and np.isnan(res.singularity_corr)
 
 
 def test_vae_state_validation():
