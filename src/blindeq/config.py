@@ -295,12 +295,13 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
         "wall_s": wall,
         "singularity_corr": res.singularity_corr,
     }
-    if res.sigma_traj is not None:
+    if res.ch_taps is not None:  # a VAE run that did not diverge
         record["snr_est_db"] = ev.snr_report(sig_frames)
-    if res.ch_taps is not None and cfg.variant == "awgn_isi":
-        # the channel model learns the pulse convolved with the channel
-        h_true = ch.oversampled_impulse_response(ch.H_SIMS[cfg.h_sim], cfg.n_os, _pulse(cfg))
-        record["ip_nmse_db"] = ev.ip_nmse_db(res.ch_taps[0, 0], h_true)
+        if cfg.variant == "awgn_isi":
+            # the channel model learns the pulse convolved with the channel
+            h_true = ch.oversampled_impulse_response(ch.H_SIMS[cfg.h_sim], cfg.n_os,
+                                                     _pulse(cfg))
+            record["ip_nmse_db"] = ev.ip_nmse_db(res.ch_taps[0, 0], h_true)
     return record
 
 

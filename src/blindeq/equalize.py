@@ -219,6 +219,7 @@ def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int, sps: int):
     aligned to tx, delay).
     """
     n_sym = min(tx.shape[0], rx.shape[0] // sps)
+    # an even n_taps gives windows one window more than there are symbols
     x = windows(rx[None, :], n_taps, sps)[0, :n_sym]
     xh = x.conj().T
     gram = xh @ x + _MMSE_RIDGE * np.eye(n_taps)

@@ -1,6 +1,7 @@
-"""Monte-Carlo evaluation: frame slicing, phase/conjugation/shift/pol-swap
-ambiguity resolution, symbol-error-rate statistics, and the noise-variance
-and channel-estimate reports."""
+"""Monte-Carlo evaluation: phase/conjugation/shift/pol-swap ambiguity
+resolution, symbol-error-rate statistics, and the noise-variance and
+channel-estimate reports.  Streams hold whole frames and are read as
+reshapes."""
 
 from __future__ import annotations
 
@@ -15,12 +16,6 @@ from .modem import Constellation, map_decide, symbol_indices
 # the constellation symmetry, pi/4 from the fourth-power CPE convention) plus
 # a possible conjugation
 _ROTATIONS = np.exp(1j * np.pi / 4.0 * np.arange(8))
-
-
-def slice_frames(x: np.ndarray, n_frame: int) -> np.ndarray:
-    """Split a symbol vector into complete frames, shape (n_ind, n_frame)."""
-    n_ind = x.shape[0] // n_frame
-    return x[: n_ind * n_frame].reshape(n_ind, n_frame)
 
 
 @dataclass
@@ -42,14 +37,12 @@ _DECISION_ROWS = np.reshape([0, 1, 2, 3, 5, 0, 7, 2, 4, 5, 6, 7, 1, 4, 3, 6,
 def _candidate_shifts(x_hat: np.ndarray, ref: np.ndarray, max_shift: int):
     """Correlation-peak shift candidates (first peak by lag) for the plain and
     conjugated frame."""
-    n = ref.shape[0]
-    lags = np.arange(-min(max_shift, n - 1), min(max_shift, n - 1) + 1)
+    m = min(max_shift, ref.shape[0] - 1)
     cands = {0}
     for sig in (x_hat, np.conj(x_hat)):
-        # sum_i sig[i + l] conj(ref[i]) over the overlap at lag l
-        corr = [np.vdot(ref[max(-l, 0): n - max(l, 0)], sig[max(l, 0): n - max(-l, 0)])
-                for l in lags]
-        cands.add(int(lags[np.argmax(np.abs(corr))]))
+        # corr[j] = sum_i sig[i + j - m] conj(ref[i]) over the overlap at lag j - m
+        corr = np.correlate(np.pad(sig, m), ref, mode="valid")
+        cands.add(int(np.argmax(np.abs(corr))) - m)
     return sorted(cands)
 
 
@@ -95,17 +88,12 @@ def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
 def resolve_pol_pairing(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
                         sigma_sq: float, n_frame: int) -> tuple[int, ...]:
     """Run-level polarization assignment (identity or swap), decided once on
-    the last frame by total minimum SER."""
-    pol = x_hat.shape[0]
-    if pol == 1:
+    the last frame by total minimum SER; a tie keeps the identity."""
+    if x_hat.shape[0] == 1:
         return (0,)
-    frames_hat = [slice_frames(x_hat[p], n_frame)[-1] for p in range(pol)]
-    frames_ref = [slice_frames(ref[p], n_frame)[-1] for p in range(pol)]
-    costs = {}
-    for perm in ((0, 1), (1, 0)):
-        costs[perm] = sum(
-            resolve_ambiguity(frames_hat[perm[p]], frames_ref[p], c, sigma_sq).ser
-            for p in range(pol))
+    costs = {perm: sum(resolve_ambiguity(x_hat[q, -n_frame:], ref[p, -n_frame:], c,
+                                         sigma_sq).ser for p, q in enumerate(perm))
+             for perm in ((0, 1), (1, 0))}
     return min(costs, key=costs.get)
 
 
@@ -119,13 +107,9 @@ def frame_ser_curve(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
                     sigma_sq: np.ndarray, n_frame: int, edge_trim: int) -> np.ndarray:
     """Per-frame SER with per-frame ambiguity resolution, one polarization;
     sigma_sq holds one decision variance per frame."""
-    fh = slice_frames(x_hat, n_frame)
-    fr = slice_frames(ref[: fh.size], n_frame)
-    out = np.empty(fh.shape[0])
-    for k in range(fh.shape[0]):
-        out[k] = resolve_ambiguity(fh[k], fr[k], c, float(sigma_sq[k]),
-                                   edge_trim=edge_trim).ser
-    return out
+    frames = zip(x_hat.reshape(-1, n_frame), ref.reshape(-1, n_frame), sigma_sq, strict=True)
+    return np.array([resolve_ambiguity(h, r, c, float(s), edge_trim=edge_trim).ser
+                     for h, r, s in frames])
 
 
 @dataclass
@@ -173,10 +157,10 @@ def ip_nmse_db(h_est: np.ndarray, h_true: np.ndarray) -> float:
     lo = max(lag, 0)
     hi = min(lag + h_true.shape[0], h_est.shape[0])
     ref[lo:hi] = h_true[lo - lag: hi - lag]
-    denom = float(np.vdot(ref, ref).real)
+    denom = float((np.conj(ref) @ ref).real)
     if denom == 0.0:
         raise ConfigError("impulse responses do not overlap after alignment")
-    gain = complex(np.vdot(ref, h_est) / denom)
+    gain = complex(np.conj(ref) @ h_est / denom)
     aligned = gain * ref
     err = float(np.linalg.norm(h_est - aligned) ** 2)
     power = float(np.linalg.norm(aligned) ** 2)

@@ -125,7 +125,8 @@ def test_run_experiment_outputs(tmp_path):
 
 def test_run_experiment_keeps_diverged_points(tmp_path):
     # both receivers diverge at lr 1e200; each point is written and scored
-    # as failed, and the diverged VAE reports no channel estimate
+    # as failed, and the diverged VAE reports neither an SNR nor a channel
+    # estimate
     cfg = config.ExperimentConfig(seed=1, m=16, taps=11, n_frame=2000, n_ind=2, n_run=1,
                                   ma_window=2, batch_symbols=200, lr=1e200,
                                   sweep={"kind": ["CMA", "VAE-LE"]})
@@ -136,7 +137,7 @@ def test_run_experiment_keeps_diverged_points(tmp_path):
     rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
     assert [(r["kind"], r["final_ser"], r["n_success"]) for r in rows] == [
         ("CMA", "1", "0"), ("VAE-LE", "1", "0")]
-    assert rows[1]["ip_nmse_db"] == ""
+    assert rows[1]["snr_est_db"] == rows[1]["ip_nmse_db"] == ""
 
 
 def test_run_experiment_worker_invariance(tmp_path):

@@ -1,5 +1,5 @@
-"""Evaluation pipeline: framing, ambiguity resolution, aggregation, and the
-reports."""
+"""Evaluation pipeline: whole frames, ambiguity resolution, aggregation, and
+the reports."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,6 @@ from blindeq import modem
 from blindeq.errors import ConfigError
 
 from helpers import candidate_shifts_full, qam_awgn_ser, resolve_ambiguity_exhaustive
-
-
-def test_slice_frames():
-    f = ev.slice_frames(np.arange(25), 10)
-    assert f.shape == (2, 10)
-    assert np.array_equal(f[1], np.arange(10, 20))
 
 
 def test_moving_average_oracle():
@@ -86,6 +80,12 @@ def test_candidate_shifts_match_full_correlation(n, max_shift):
         x += rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert (ev._candidate_shifts(x, ref, max_shift)
                 == candidate_shifts_full(x, ref, max_shift))
+        # the last 30 samples NaN: each lag sums its overlap only, so lags
+        # below -29 stay finite and the first NaN lag, -29, is the peak
+        if n > 30:
+            x[-30:] = np.nan
+            assert ev._candidate_shifts(x, ref, max_shift) == candidate_shifts_full(
+                x, ref, max_shift) == sorted({0, -min(29, max_shift)})
     # equal peaks at lags -d and d: the smaller lag wins
     if n > 10:
         d = min(3, max_shift)
@@ -151,14 +151,16 @@ def test_resolve_ambiguity_scores_only_the_trimmed_window():
 
 
 def test_resolve_pol_pairing_detects_swap():
-    c, ref0, rng = _qpsk_frame(7, n=4_000)
-    ref1 = modem.sample_symbols(c, 4_000, rng)
-    ref = np.stack([ref0, ref1])
+    # three frames of 4,000 symbols: the pairing is decided on the last one
+    c, ref0, rng = _qpsk_frame(7, n=12_000)
+    ref = np.stack([ref0, modem.sample_symbols(c, 12_000, rng)])
     noisy = ref + 0.05 * (rng.standard_normal(ref.shape)
                           + 1j * rng.standard_normal(ref.shape))
-    assert ev.resolve_pol_pairing(noisy, ref, c, 0.01, n_frame=4_000) == (0, 1)
-    assert ev.resolve_pol_pairing(noisy[::-1], ref, c, 0.01,
-                                  n_frame=4_000) == (1, 0)
+    last_swapped = noisy.copy()
+    last_swapped[:, -4_000:] = noisy[::-1, -4_000:]
+    for x_hat, pairing in ((noisy, (0, 1)), (noisy[::-1], (1, 0)),
+                           (last_swapped, (1, 0)), (last_swapped[::-1], (0, 1))):
+        assert ev.resolve_pol_pairing(x_hat, ref, c, 0.01, n_frame=4_000) == pairing
 
 
 def test_frame_ser_curve():
@@ -172,6 +174,10 @@ def test_frame_ser_curve():
     per_frame = ev.frame_ser_curve(x, ref, c, np.array([0.01, 0.02, 0.01]),
                                    n_frame=2_000, edge_trim=0)
     assert np.all(per_frame < 1e-3)
+    # a stream that is not whole frames is refused, not truncated
+    with pytest.raises(ValueError):
+        ev.frame_ser_curve(x[:5_000], ref[:5_000], c, np.full(2, 0.01), n_frame=2_000,
+                           edge_trim=0)
 
 
 def test_snr_report():
