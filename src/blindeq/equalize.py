@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError
 from .modem import Constellation, soft_demap
-from .sigproc import convolve_same, padded, window_view, windows
+from .sigproc import padded, window_means, window_view, windows
 
 # ---------------------------------------------------------------------------
 # butterfly filters
@@ -193,15 +193,17 @@ def viterbi_viterbi_cpe(x: np.ndarray, window: int) -> np.ndarray:
     """Fourth-power carrier phase estimation with a sliding average.
 
     The estimate phi_i = arg(-sum x^4)/4 carries the conventional pi/4
-    offset for square QAM; the fourth-power phase is unwrapped across the
-    sequence to avoid pi/2 cycle slips.  A residual pi/2 (and pi/4 offset)
-    ambiguity remains for downstream resolution.  x is (pol, n).
+    offset for square QAM; the sum runs over the ``window`` (odd) symbols
+    centred on i, zero padded at the stream edges, and is taken as a running
+    mean from one cumulative sum, so its cost does not grow with the window.
+    The fourth-power phase is unwrapped across the sequence to avoid pi/2
+    cycle slips.  A residual pi/2 (and pi/4 offset) ambiguity remains for
+    downstream resolution.  x is (pol, n).
     """
     out = np.empty_like(x)
-    kernel = np.full(window, 1.0 / window)
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(x.shape[0]):
-            z = convolve_same(x[p] ** 4, kernel)
+            z = window_means(np.pad(x[p] ** 4, window // 2), window)
             phi4 = np.unwrap(np.angle(-z))
             out[p] = x[p] * np.exp(-0.25j * phi4)
     return out

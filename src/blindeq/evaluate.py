@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .modem import Constellation, map_decide, symbol_indices
+from .sigproc import window_means
 
 # the blind receivers leave a phase ambiguity of multiples of pi/4 (pi/2 from
 # the constellation symmetry, pi/4 from the fourth-power CPE convention) plus
@@ -67,7 +68,9 @@ def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
     n = ref.shape[0]
     ref_iq = np.stack(symbol_indices(c, ref))
     z = [x_hat * _ROTATIONS[0], x_hat * _ROTATIONS[1]]
-    dec = np.reshape([map_decide(v, c, sigma_sq) for v in z + [-z[0], -z[1]]], (8, n))
+    dec = np.empty((8, n), dtype=np.intp)
+    for k, v in enumerate(z + [-z[0], -z[1]]):
+        dec[2 * k], dec[2 * k + 1] = map_decide(v, c, sigma_sq)
     best = None
     for s in _candidate_shifts(x_hat, ref, max_shift):
         lo_hat, lo_ref = max(s, 0) + edge_trim, max(-s, 0) + edge_trim
@@ -99,8 +102,7 @@ def resolve_pol_pairing(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
 
 def moving_average(x: np.ndarray, window: int) -> np.ndarray:
     """Trailing-window mean over frame-wise values, length n - window + 1."""
-    kernel = np.full(window, 1.0 / window)
-    return np.convolve(x, kernel, mode="valid")
+    return window_means(x, window)
 
 
 def frame_ser_curve(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,

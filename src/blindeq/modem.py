@@ -88,10 +88,13 @@ def symbol_indices(c: Constellation, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _nearest_level(v: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    # the nearest level is one of the two around v; comparing their rounded
+    # the nearest level is one of the two around v, lo and lo + 1, where lo
+    # counts the inner levels <= v (NaN counts all); comparing their rounded
     # distances, ties to the lower, gives what an argmin over all levels gives
     # (deciding by the rounded midpoints would not, at a midpoint)
-    lo = np.clip(np.searchsorted(levels, v, side="right") - 1, 0, levels.shape[0] - 2)
+    lo = np.zeros(v.shape, dtype=np.intp)
+    for a in levels[1:-1]:
+        lo += ~(v < a)
     return lo + (np.abs(v - levels[lo + 1]) < np.abs(v - levels[lo]))
 
 
@@ -121,14 +124,15 @@ def map_decide(x_hat: np.ndarray, c: Constellation, sigma_sq: float) -> tuple[np
 
 
 def _decide_component(v: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    # side="left" on the positive half and one level up on an exact boundary
-    # hit in the negative half keep hits on the inner level; +-0 hits the
-    # middle boundary and decides positive, NaN sorts last (the top level)
-    k = boundaries.shape[0]
-    left = np.searchsorted(boundaries, v, side="left")
-    inner = (k + 1) // 2  # first index of the non-negative levels
-    hit = boundaries[np.minimum(left, k - 1)] == v
-    return left + ((left < inner) & hit)
+    # the level index is the count of boundaries below v; a hit counts as
+    # below in the negative half and as above in the positive half, so it
+    # goes to the inner level, +-0 hits the middle boundary and decides
+    # positive, and NaN (every negated comparison true) takes the top level
+    inner = (boundaries.shape[0] + 1) // 2  # first index of the non-negative levels
+    idx = np.zeros(v.shape, dtype=np.intp)
+    for j, b in enumerate(boundaries):
+        idx += ~(v < b) if j < inner else ~(v <= b)
+    return idx
 
 
 def soft_demap(x_hat: np.ndarray, c: Constellation, sigma_sq: float,

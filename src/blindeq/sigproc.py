@@ -50,6 +50,14 @@ def convolve_same(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return full[start: start + len(x)]
 
 
+def window_means(x: np.ndarray, window: int) -> np.ndarray:
+    """Mean of every run of ``window`` consecutive values of a 1-D array,
+    length n - window + 1, from one cumulative sum.  A non-finite value
+    makes every later mean NaN or infinite, not only the windows holding it."""
+    c = np.cumsum(np.concatenate([np.zeros(1, dtype=x.dtype), x]))
+    return (c[window:] - c[:-window]) / window
+
+
 def shape(symbols: np.ndarray, rrc: np.ndarray, n_os: int) -> np.ndarray:
     """Zero-insert symbols (1 sps) to n_os sps, then pulse-shape with
     centered convolution."""

@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference gradient checking, tiny
 variational-loss instances used by both the unit tests and the acceptance
 suite, the exhaustive ambiguity search that evaluate's is checked against,
-a stream-level butterfly filter and the closed-form QAM SER."""
+a stream-level butterfly filter, the convolution-mean carrier phase
+estimator and the closed-form QAM SER."""
 
 from __future__ import annotations
 
@@ -139,9 +140,37 @@ def tiny_le_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
     state = eq.VaeLeState(n_pol=n_pol, n_os=n_os, f_eq=5, f_ch=3, matched_demapper=True)
     for p in state.adam.params:
         p += 0.1 * rng.standard_normal(p.shape)
-    n_b = 4
-    n = (n_b + 2) * n_os  # one symbol of context on each side
+    n = 6 * n_os  # a 4-symbol batch and one symbol of context on each side
     rx = rng.standard_normal((n_pol, n)) + 1j * rng.standard_normal((n_pol, n))
+    return _le_batch(state, c, rx)
+
+
+def dp_le_instance(rng: np.random.Generator):
+    """A linear-decoder batch at the DP recipes' shape: 2 pols at 2 sps,
+    64-QAM shaped to 4.6 bits, 25 equalizer and channel taps, 40 symbols at
+    sigma^2 = 0.05.  Both filters start as a Dirac butterfly rotated by the
+    link's HV angle of 0.1 pi (the equalizer by its inverse) plus 0.02 complex
+    noise, and rx is the rotated symbols plus noise of that variance."""
+    c = modem.build_constellation(64, modem.nu_for_entropy(64, 4.6))
+    state = eq.VaeLeState(n_pol=2, n_os=2, f_eq=25, f_ch=25, matched_demapper=True)
+    g = 0.1 * np.pi
+    rot = np.array([[np.cos(g), np.sin(g)], [-np.sin(g), np.cos(g)]])
+    for taps, r in ((state.eq, rot.T), (state.ch, rot)):
+        taps[:, :, taps.shape[2] // 2] = r
+        taps += 0.02 * (rng.standard_normal(taps.shape) + 1j * rng.standard_normal(taps.shape))
+    state.sigma_sq = 0.05
+    sym = np.stack([modem.sample_symbols(c, 42, rng) for _ in range(2)])
+    rx = np.stack([sigproc.upsample_zero_insert(s, 2) for s in rot @ sym])
+    rx += np.sqrt(0.025) * (rng.standard_normal(rx.shape) + 1j * rng.standard_normal(rx.shape))
+    return _le_batch(state, c, rx)
+
+
+def _le_batch(state, c, rx: np.ndarray):
+    """(params, loss, grads) of the linear-decoder batch in rx (pol, n), one
+    symbol of context on each side excluded; params are the float views of
+    the taps that Adam steps."""
+    n_pol, n_os = state.n_pol, state.n_os
+    n_b = rx.shape[1] // n_os - 2
     win = sigproc.windows(rx, state.f_eq, n_os).transpose(1, 0, 2)[1: 1 + n_b]
     batch = rx[:, n_os: (1 + n_b) * n_os]
     ctx = eq.LossContext(n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2)
@@ -254,6 +283,19 @@ def butterfly_apply(rx: np.ndarray, taps: np.ndarray, stride: int = 1) -> np.nda
     win = sigproc.windows(rx, taps.shape[2], stride).transpose(1, 0, 2)
     # the equalizers' taps are correlation-oriented: flip for a convolution
     return eq._filter_windows(taps[:, :, ::-1], win)
+
+
+def viterbi_viterbi_cpe_convolution(x: np.ndarray, window: int) -> np.ndarray:
+    """equalize.viterbi_viterbi_cpe with its running mean of x^4 taken by a
+    ``window``-tap centred convolution, the reference for the cumulative-sum
+    mean.  x is (pol, n)."""
+    out = np.empty_like(x)
+    kernel = np.full(window, 1.0 / window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(x.shape[0]):
+            z = sigproc.convolve_same(x[p] ** 4, kernel)
+            out[p] = x[p] * np.exp(-0.25j * np.unwrap(np.angle(-z)))
+    return out
 
 
 def qam_awgn_ser(m: int, snr_db: float) -> float:

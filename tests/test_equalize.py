@@ -11,7 +11,8 @@ from blindeq import equalize as eq
 from blindeq import evaluate as ev
 from blindeq import modem, sigproc
 from blindeq.errors import ConfigError
-from helpers import butterfly_apply, vae_nn_forward_loop
+from helpers import (butterfly_apply, dp_le_instance, max_gradient_error, vae_nn_forward_loop,
+                     viterbi_viterbi_cpe_convolution)
 
 
 def test_godard_radius():
@@ -204,6 +205,26 @@ def test_viterbi_viterbi_constant_phase():
     assert align.ser == 0.0
 
 
+def test_viterbi_viterbi_matches_convolution_mean():
+    # one 60-frame DP run's stream, 2 pols of 600k symbols, under a slow
+    # phase walk: the running mean moves the phase by rounding only
+    rng = np.random.default_rng(8)
+    c = modem.build_constellation(64, 0.0)
+    n = 600_000
+    walk = np.cumsum(1e-3 * rng.standard_normal((2, n)), axis=1)
+    x = np.stack([modem.sample_symbols(c, n, rng) for _ in range(2)]) * np.exp(1j * walk)
+    x += 0.03 * (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+    out = eq.viterbi_viterbi_cpe(x, window=501)
+    assert np.max(np.abs(np.angle(out / viterbi_viterbi_cpe_convolution(x, 501)))) <= 1e-9
+    # a diverged receiver's NaN tail: NaN exactly where the convolution has it
+    tail = x[:1].copy()
+    tail[0, 450_000:] = np.nan
+    out, ref = eq.viterbi_viterbi_cpe(tail, 501), viterbi_viterbi_cpe_convolution(tail, 501)
+    nan = np.isnan(ref)
+    assert nan.sum() > n - 450_000 and np.array_equal(np.isnan(out), nan)
+    assert np.max(np.abs(np.angle(out[~nan] / ref[~nan]))) <= 1e-9
+
+
 def test_mmse_baseline_known_channel():
     rng = np.random.default_rng(4)
     c = modem.build_constellation(16, 0.0)
@@ -321,6 +342,14 @@ def test_vae_loss_context_reuse(pol, n_os, edge_trim):
         assert np.array_equal(ctx.up_win, sigproc.windows(up, f, 1).transpose(1, 0, 2))
     for g_q, g_h, g_q_then, g_h_then in returned:
         assert np.array_equal(g_q, g_q_then) and np.array_equal(g_h, g_h_then)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vae_le_grads_at_dp_recipe_shape(seed):
+    # criterion 1 checks 4-QAM with 5/3 taps; this is the DP recipes' shape:
+    # 2 pols at 2 sps, shaped 64-QAM, 25/25 taps near the HV-rotated Dirac
+    err = max_gradient_error(dp_le_instance(np.random.default_rng(seed)))
+    assert err < 1e-4, f"seed {seed}: {err:.3e}"
 
 
 def test_vae_le_step_learns_identity_channel():

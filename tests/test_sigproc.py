@@ -6,6 +6,7 @@ import pytest
 from blindeq import autodiff as ad
 from blindeq import sigproc
 from blindeq.errors import ConfigError
+from helpers import rel_err
 
 
 def test_rrc_basic_shape():
@@ -66,6 +67,19 @@ def test_convolve_same_identity_and_length():
         assert np.allclose(sigproc.convolve_same(x, d), x)
     taps = rng.standard_normal(7)
     assert sigproc.convolve_same(x, taps).shape == x.shape
+
+
+@pytest.mark.parametrize("window", [1, 2, 7, 400])
+def test_window_means_match_convolution(window):
+    # the cumulative-sum means against a window-tap convolution, on real
+    # and complex inputs, up to a window as long as the input
+    rng = np.random.default_rng(window)
+    n = 400
+    for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        ref = np.convolve(x, np.full(window, 1.0 / window), "valid")
+        out = sigproc.window_means(x, window)
+        assert out.shape == (n - window + 1,)
+        assert rel_err(out, ref) < 1e-12
 
 
 def test_convolve_same_matches_autodiff_conv():
