@@ -102,11 +102,22 @@ def dp_run(tx_te: np.ndarray, tx_tm: np.ndarray, cfg,
 
     Each frame is transformed with guard overlap taken from the neighbouring
     samples (zeros at the stream edges); the guards are discarded after the
-    inverse transform to avoid inter-frame boundary artifacts.  Noise is
-    added once over the assembled stream.  Reads the ExperimentConfig's n_os,
-    n_frame and snr_db, and what ``dp_apply`` reads.
+    inverse transform to avoid inter-frame boundary artifacts.  ``guard`` is
+    a lower bound: it is widened to the smallest guard for which the
+    transform length, n_frame n_os + 2 guard, has no prime factor above 5
+    (368 and 20,736 samples at the default frame), where the FFT is fast.
+    Noise is added once over the assembled stream.  Reads the
+    ExperimentConfig's n_os, n_frame and snr_db, and what ``dp_apply`` reads.
     """
     frame_samples = cfg.n_frame * cfg.n_os
+    while True:  # step by 1, so an odd frame reaches an odd 5-smooth length
+        n = frame_samples + 2 * guard
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        if n == 1:
+            break
+        guard += 1
     n_tot = tx_te.shape[0]
     out_te = np.empty(n_tot, dtype=np.complex128)
     out_tm = np.empty(n_tot, dtype=np.complex128)

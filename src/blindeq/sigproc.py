@@ -1,5 +1,5 @@
-"""Pulse shaping, resampling, and the DFT frequency grid shared by the
-channel models and the equalizers."""
+"""Pulse shaping, resampling, windowing, running means, and the DFT
+frequency grid shared by the channel models, the equalizers and evaluation."""
 
 from __future__ import annotations
 

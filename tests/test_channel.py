@@ -147,6 +147,38 @@ def test_dp_run_matches_single_frame():
     assert e_large < e_small
 
 
+def _is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+@pytest.mark.parametrize("n_frame, n_os", [(10_000, 2), (999, 1)])
+def test_dp_run_transforms_at_the_next_5_smooth_length(monkeypatch, n_frame, n_os):
+    # the default guard of 256 is a lower bound: each frame is transformed at
+    # the smallest 5-smooth length of the frame's parity that it reaches
+    lengths = []
+    apply = ch.dp_apply
+
+    def spy(a, b, cfg, k):
+        lengths.append(a.shape[0])
+        return apply(a, b, cfg, k)
+
+    monkeypatch.setattr(ch, "dp_apply", spy)
+    n = 2 * n_frame * n_os
+    ch.dp_run(np.ones(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128),
+              _dp(snr_db=np.inf, n_frame=n_frame, n_os=n_os), np.random.default_rng(0))
+    (length,) = set(lengths)
+    shortest = n_frame * n_os + 2 * 256
+    assert length >= shortest and _is_5_smooth(length)
+    assert not any(_is_5_smooth(k) for k in range(shortest, length, 2))
+    if n_os == 2:
+        assert length == 20_736
+    else:
+        assert length % 2 == 1
+
+
 def test_dp_run_time_varying_changes_frames():
     rng = np.random.default_rng(5)
     n = 8_000
