@@ -60,21 +60,32 @@ def awgn_isi_apply(tx: np.ndarray, n_os: int, h_sim: np.ndarray, snr_db: float,
     return out
 
 
-def dp_channel_matrix(f: np.ndarray, cfg, gamma: float) -> np.ndarray:
-    """Frequency-domain 2x2 channel at HV angle ``gamma``: R^T diag(e^{j pi tau f},
-    e^{-j pi tau f}) R times the residual-dispersion phase e^{-j 2 pi^2 beta L f^2}.
+def dp_phases(f: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """The channel's frame-independent factors at the frequencies ``f`` (Hz):
+    the differential-group-delay phase e^{j pi tau f} and the
+    residual-dispersion phase e^{-j 2 pi^2 beta L f^2}.
 
-    Reads phi_iq, d_pmd, l_pmd, beta_cd and l_cd of ``cfg``, an ExperimentConfig.
-    ``f`` is a 1-D float array; returns shape (2, 2, len(f)), unitary up to
-    the global phases.
+    Reads d_pmd, l_pmd, beta_cd and l_cd of ``cfg``, an ExperimentConfig.
+    """
+    tau = cfg.d_pmd * np.sqrt(cfg.l_pmd) * 1e-12  # differential group delay, s
+    e = np.exp(1j * np.pi * tau * f)
+    cd = np.exp(-2j * np.pi ** 2 * (cfg.beta_cd * cfg.l_cd * 1e-24) * f ** 2)
+    return e, cd
+
+
+def dp_channel_matrix(phases: tuple[np.ndarray, np.ndarray], cfg, gamma: float) -> np.ndarray:
+    """Frequency-domain 2x2 channel at HV angle ``gamma``: R^T diag(e, 1/e) R
+    times cd, with (e, cd) = ``phases``, the ``dp_phases`` of a frequency
+    grid.
+
+    Reads phi_iq of ``cfg``.  Returns shape (2, 2, n) for n frequencies,
+    unitary up to the global phases.
     """
     c, s = np.cos(gamma), np.sin(gamma)
     phase = np.exp(-1j * cfg.phi_iq)
     r = phase * np.array([[c, s], [-s, c]])
-    tau = cfg.d_pmd * np.sqrt(cfg.l_pmd) * 1e-12  # differential group delay, s
-    e = np.exp(1j * np.pi * tau * f)
-    cd = np.exp(-2j * np.pi ** 2 * (cfg.beta_cd * cfg.l_cd * 1e-24) * f ** 2)
-    h = np.empty((2, 2, f.shape[0]), dtype=np.complex128)
+    e, cd = phases
+    h = np.empty((2, 2, e.shape[0]), dtype=np.complex128)
     # R^T diag(e, 1/e) R, expanded per frequency bin
     h[0, 0] = r[0, 0] * r[0, 0] * e + r[1, 0] * r[1, 0] / e
     h[0, 1] = r[0, 0] * r[0, 1] * e + r[1, 0] * r[1, 1] / e
@@ -83,14 +94,15 @@ def dp_channel_matrix(f: np.ndarray, cfg, gamma: float) -> np.ndarray:
     return h * cd
 
 
-def dp_apply(tx_te: np.ndarray, tx_tm: np.ndarray, cfg,
-             frame_index: int) -> tuple[np.ndarray, np.ndarray]:
+def dp_apply(tx_te: np.ndarray, tx_tm: np.ndarray, cfg, frame_index: int,
+             phases: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Apply the frequency-domain channel, noiseless, to frame ``frame_index``
-    of samples at n_os sps.  Reads the ExperimentConfig's n_os, symbol_rate,
-    n_frame, gamma_hv and dgamma_hv, and what ``dp_channel_matrix`` reads."""
-    f = frequency_grid(tx_te.shape[0], cfg.n_os, cfg.symbol_rate)
+    of samples at n_os sps, with ``phases`` the ``dp_phases`` of the
+    transform's frequency grid.  Reads the ExperimentConfig's n_frame,
+    symbol_rate, gamma_hv and dgamma_hv, and what ``dp_channel_matrix``
+    reads."""
     gamma = cfg.gamma_hv + cfg.dgamma_hv * frame_index * (cfg.n_frame / cfg.symbol_rate)
-    h = dp_channel_matrix(f, cfg, gamma)
+    h = dp_channel_matrix(phases, cfg, gamma)
     a = np.fft.fft(tx_te)
     b = np.fft.fft(tx_tm)
     return np.fft.ifft(h[0, 0] * a + h[0, 1] * b), np.fft.ifft(h[1, 0] * a + h[1, 1] * b)
@@ -106,8 +118,10 @@ def dp_run(tx_te: np.ndarray, tx_tm: np.ndarray, cfg,
     a lower bound: it is widened to the smallest guard for which the
     transform length, n_frame n_os + 2 guard, has no prime factor above 5
     (368 and 20,736 samples at the default frame), where the FFT is fast.
-    Noise is added once over the assembled stream.  Reads the
-    ExperimentConfig's n_os, n_frame and snr_db, and what ``dp_apply`` reads.
+    Every frame has that length, so the frequency grid and the ``dp_phases``
+    are built once; each frame then applies its own HV rotation.  Noise is
+    added once over the assembled stream.  Reads the ExperimentConfig's
+    n_os, n_frame and snr_db, and what ``dp_apply`` and ``dp_phases`` read.
     """
     frame_samples = cfg.n_frame * cfg.n_os
     while True:  # step by 1, so an odd frame reaches an odd 5-smooth length
@@ -118,6 +132,7 @@ def dp_run(tx_te: np.ndarray, tx_tm: np.ndarray, cfg,
         if n == 1:
             break
         guard += 1
+    phases = dp_phases(frequency_grid(frame_samples + 2 * guard, cfg.n_os, cfg.symbol_rate), cfg)
     n_tot = tx_te.shape[0]
     out_te = np.empty(n_tot, dtype=np.complex128)
     out_tm = np.empty(n_tot, dtype=np.complex128)
@@ -128,7 +143,7 @@ def dp_run(tx_te: np.ndarray, tx_tm: np.ndarray, cfg,
         pre, post = lo - glo, ghi - hi
         seg_te = np.pad(tx_te[glo:ghi], (guard - pre, guard - post))
         seg_tm = np.pad(tx_tm[glo:ghi], (guard - pre, guard - post))
-        r_te, r_tm = dp_apply(seg_te, seg_tm, cfg, k)
+        r_te, r_tm = dp_apply(seg_te, seg_tm, cfg, k, phases)
         out_te[lo:hi] = r_te[guard: guard + hi - lo]
         out_tm[lo:hi] = r_tm[guard: guard + hi - lo]
     if np.isfinite(cfg.snr_db):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-from .modem import Constellation, soft_demap
+from .modem import Constellation
 from .sigproc import padded, window_means, window_view, windows
 
 # ---------------------------------------------------------------------------
@@ -36,14 +36,7 @@ def _filter_windows(taps: np.ndarray, win: np.ndarray) -> np.ndarray:
     """Filter a block of (n, pol, F) windows, or their (n, pol * F)
     flattening, with (pol, pol, F) correlation-oriented taps; returns
     (pol, n)."""
-    return _taps_dot(taps.reshape(taps.shape[0], -1), win.reshape(win.shape[0], -1)).T
-
-
-def _taps_dot(taps_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The taps x windows product: (pol, K) taps times each row of an (n, K)
-    block of flattened windows, giving (n, pol).  A stacked matmul, so each
-    output is summed in the same order whatever the block length."""
-    return np.matmul(taps_mat, w[..., None])[..., 0]
+    return taps.reshape(taps.shape[0], -1) @ win.reshape(win.shape[0], -1).T
 
 
 def godard_radius(c: Constellation) -> float:
@@ -62,6 +55,13 @@ def godard_radius(c: Constellation) -> float:
 # symbol-wise CMA runs in blocks of _CMA_BLOCK symbols, and the recursion
 # inside a block in sub-blocks of _CMA_SUB; both chosen by measurement
 _CMA_BLOCK, _CMA_SUB = 32, 8
+
+
+def _taps_dot(taps_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The taps x windows product: (pol, K) taps times each row of an (n, K)
+    block of flattened windows, giving (n, pol).  A stacked matmul, so each
+    output is summed in the same order whatever the block length."""
+    return np.matmul(taps_mat, w[..., None])[..., 0]
 
 
 def cma_block(taps_mat: np.ndarray, w: np.ndarray, r2: float, mu: float = 0.0):
@@ -246,33 +246,41 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam with bias correction over a list of float arrays.
-
-    The arrays are updated in place.  Complex taps enter as their
-    ``.view(np.float64)``, so each real and imaginary part is a parameter of
-    its own.
+    """Standard Adam with bias correction over one float array, updated in
+    place.  A state's parameters are views of that array (``_buffers``), so
+    each real and imaginary part of a complex tap is a parameter of its own.
     """
 
-    def __init__(self, params):
-        self.params = list(params)
-        self.m = [np.zeros_like(p) for p in self.params]
-        self.v = [np.zeros_like(p) for p in self.params]
+    def __init__(self, params: np.ndarray):
+        self.params = params
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, grads, lr: float) -> None:
-        """One update from ``grads``, one array per parameter."""
+    def step(self, grads: np.ndarray, lr: float) -> None:
+        """One update from ``grads``, shaped like the parameters."""
         self.t += 1
         b1c = 1.0 - _BETA1 ** self.t
         b2c = 1.0 - _BETA2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m += (1.0 - _BETA1) * (g - m)
-            v += (1.0 - _BETA2) * (g * g - v)
-            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + _EPS)
+        self.m += (1.0 - _BETA1) * (grads - self.m)
+        self.v += (1.0 - _BETA2) * (grads * grads - self.v)
+        self.params -= lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + _EPS)
 
 
-def _real_view(z: np.ndarray) -> np.ndarray:
-    """A complex array as interleaved (re, im) floats, the layout Adam steps."""
-    return np.ascontiguousarray(z).view(np.float64)
+def _buffers(shapes):
+    """A state's parameter and gradient buffers: two flat float arrays, each
+    carved end to end into one view per (shape, dtype) in ``shapes``, a
+    complex element taking two floats, (re, im).  Returns (params, grad,
+    parameter views, gradient views)."""
+    sizes = [int(np.prod(shape)) * (2 if dtype is complex else 1) for shape, dtype in shapes]
+    ends = np.cumsum(sizes)
+
+    def carve(buf):
+        return [buf[hi - n: hi].view(dtype).reshape(shape)
+                for n, hi, (shape, dtype) in zip(sizes, ends, shapes)]
+
+    params, grad = np.zeros(ends[-1]), np.zeros(ends[-1])
+    return params, grad, carve(params), carve(grad)
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +298,20 @@ class LossBreakdown:
 
 
 class LossContext:
-    """What ``vae_loss`` needs of one batch shape, built once per run.
+    """What the loss needs of one batch shape and constellation, built once
+    per run.
 
-    Holds the run constants (the edge mask, ``n_eff`` and the mask's
-    symbol-grid windows) and two zero-padded buffers, for the upsampled mean
-    E[x] and the scaled residual, with window views made once.  Each
-    ``vae_loss`` call overwrites the buffers; nothing it returns aliases them.
+    Holds the run constants (the edge mask, ``n_eff``, the mask's
+    symbol-grid windows, and the levels' table [1, log p] that the linear
+    decoder's moments are summed against) and two zero-padded buffers, for
+    the upsampled mean E[x] and the scaled residual, with window views made
+    once.  Each loss call overwrites the buffers; nothing it returns aliases
+    them.
     """
 
-    def __init__(self, pol: int, n: int, f: int, n_os: int, edge_trim: int):
+    def __init__(self, pol: int, n: int, f: int, n_os: int, edge_trim: int,
+                 c: Constellation):
+        self.table = np.stack([np.ones(c.n_levels), np.log(c.prior)])   # (2, sqrt(M))
         mask = np.ones(n)
         if edge_trim:
             mask[:edge_trim] = 0.0
@@ -333,28 +346,47 @@ def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
         batch).
 
     The loss is sum_p (A_p + N ln C_p): A_p is the KL divergence of q_p from
-    the prior, and C_p = sum_n |y_p - (h * E[x])_p|^2 + (|h|^2 * Var[x])_p
-    over the kept samples n.  Returns (LossBreakdown, dL/dq, dL/dh); the
-    complex gradient is dL/dRe h + j dL/dIm h.
+    the prior, and C_p the distortion (``_distortion``).  Returns
+    (LossBreakdown, dL/dq, dL/dh); the complex gradient is
+    dL/dRe h + j dL/dIm h.
     """
     pol = rx.shape[0]
-    f = h.shape[2]
-    n_eff, sym_mask, mwin = ctx.n_eff, ctx.sym_mask, ctx.mwin
     lev_sq = c.levels ** 2
 
     # KL of the factorized posterior against the Maxwell-Boltzmann prior
     q_eps = q + 1e-30
-    log_ratio = np.log(q_eps) - np.log(c.prior)
-    a_kl = (q * log_ratio * sym_mask).sum(axis=(1, 2, 3))
-    g_q = (log_ratio + q / q_eps) * sym_mask
+    log_ratio = np.log(q_eps) - ctx.table[1]
+    a_kl = (q * log_ratio * ctx.sym_mask).sum(axis=(1, 2, 3))
+    g_q = (log_ratio + q / q_eps) * ctx.sym_mask
 
-    # E[x] on the sample grid (zeros between symbols) and Var[x] per symbol
+    # E[x] and Var[x] per symbol, and back from them to q through
+    # Var[x] = E[x^2] - E[x]^2 per component
     ex = q @ c.levels                                     # (pol, 2, n_sym)
     var = (q @ lev_sq - ex ** 2).sum(axis=1)              # (pol, n_sym)
-    mean = ex[:, 0] + 1j * ex[:, 1]
+    c_vals, g_mean, g_var, g_h = _distortion(rx, ex[:, 0] + 1j * ex[:, 1], var, h, ctx)
+    g_comp = g_mean.view(np.float64).reshape(pol, -1, 2).transpose(0, 2, 1)
+    g_ex = g_comp - 2.0 * ex * g_var[:, None]
+    g_lev = g_ex[..., None] * c.levels
+    g_lev += g_var[:, None, :, None] * lev_sq
+    g_q += g_lev
+    return _breakdown(a_kl, c_vals, ctx.n_eff), g_q, g_h
+
+
+def _distortion(rx: np.ndarray, mean: np.ndarray, var: np.ndarray, h: np.ndarray,
+                ctx: LossContext):
+    """The distortion C_p = sum_n |y_p - (h * E[x])_p|^2 + (|h|^2 * Var[x])_p
+    over the kept samples n, and the gradients of its part of the loss,
+    N ln C_p summed over pols.
+
+    ``mean`` is E[x], (pol, n_sym) complex, and ``var`` Var[x] summed over
+    (I, Q), (pol, n_sym).  Returns (C, dL/dE[x], dL/dVar[x], dL/dh), the
+    complex gradients as dL/dRe + j dL/dIm.
+    """
+    pol, f = h.shape[0], h.shape[2]
+    n_eff = ctx.n_eff
     ctx.up_sym[...] = mean
     resid = ctx.mask * (_filter_windows(h[:, :, ::-1], ctx.up_win) - rx)
-    spread = var @ mwin                                   # (pol, F)
+    spread = var @ ctx.mwin                               # (pol, F)
     h_sq = np.abs(h) ** 2
     c_vals = (np.abs(resid) ** 2).sum(axis=1) + (h_sq * spread).sum(axis=(1, 2))
     # numerically impossible (sum of squares plus nonnegative variance), but
@@ -362,34 +394,25 @@ def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
     dead = c_vals <= 0.0
     c_vals[dead] = 1e-30
     w = np.where(dead, 0.0, n_eff / c_vals)               # dL/dC_p
-    total = float((a_kl + n_eff * np.log(c_vals)).sum())
 
-    # distortion: dL/d(h * E[x])_p = 2 w_p resid_p, correlated with the taps
-    # for E[x] and with E[x] for the taps, on the symbol grid
+    # dL/d(h * E[x])_p = 2 w_p resid_p, correlated with the taps for E[x]
+    # and with E[x] for the taps, on the symbol grid
     np.multiply(2.0 * w[:, None], resid, out=ctx.r)
     rflat = ctx.r_win.reshape(ctx.r_win.shape[0], -1)     # (n_sym, pol F)
-    g_mean = _taps_dot(np.conj(h).transpose(1, 0, 2).reshape(pol, -1), rflat)  # (n_sym, pol)
+    g_mean = np.conj(h).transpose(1, 0, 2).reshape(pol, -1) @ rflat.T
     g_h = (np.conj(mean) @ rflat).reshape(pol, pol, f).transpose(1, 0, 2)
     # variance term
     g_h += 2.0 * w[:, None, None] * h * spread[None]
-    g_var = _taps_dot((w @ h_sq.reshape(pol, -1)).reshape(pol, f), mwin).T
-    # chain E[x] and Var[x] = E[x^2] - E[x]^2 per component back to q
-    g_ex = _components(g_mean) - 2.0 * ex * g_var[:, None]
-    g_lev = g_ex[..., None] * c.levels
-    g_lev += g_var[:, None, :, None] * lev_sq
-    g_q += g_lev
-
-    bd = LossBreakdown(a_kl=float(a_kl.sum()),
-                       c_dist=tuple(c_vals.tolist()),
-                       sigma_sq=float(c_vals.sum()) / (pol * n_eff),
-                       total=total)
-    return bd, g_q, g_h
+    g_var = (w @ h_sq.reshape(pol, -1)).reshape(pol, f) @ ctx.mwin.T
+    return c_vals, g_mean, g_var, g_h
 
 
-def _components(z: np.ndarray) -> np.ndarray:
-    """The (re, im) parts of a contiguous (n, pol) complex array as a
-    (pol, 2, n) float view: what stacking z.T.real and z.T.imag gives."""
-    return z.view(np.float64).reshape(*z.shape, 2).transpose(1, 2, 0)
+def _breakdown(a_kl: np.ndarray, c_vals: np.ndarray, n_eff: int) -> LossBreakdown:
+    """The LossBreakdown of per-pol KL terms and distortions."""
+    return LossBreakdown(a_kl=float(a_kl.sum()),
+                         c_dist=tuple(c_vals.tolist()),
+                         sigma_sq=float(c_vals.sum()) / (c_vals.shape[0] * n_eff),
+                         total=float((a_kl + n_eff * np.log(c_vals)).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -400,44 +423,102 @@ class VaeLeState:
     """Butterfly equalizer ``eq`` and channel model ``ch`` trained by
     variational inference, both (pol, pol, F) complex taps.  ``eq`` is
     correlation-oriented, like the CMA taps; ``ch`` models the channel and is
-    convolution-oriented, (h * x)[p, n] = sum_q,t h[p, q, t] x[q, n + F // 2 - t]."""
+    convolution-oriented, (h * x)[p, n] = sum_q,t h[p, q, t] x[q, n + F // 2 - t].
+
+    Both are views of the one float buffer ``params`` that Adam steps, and
+    ``vae_le_grads`` writes their gradients into the matching views of
+    ``grad``."""
 
     def __init__(self, n_pol: int, n_os: int, f_eq: int, f_ch: int, matched_demapper: bool):
         self.n_pol, self.n_os = n_pol, n_os
         self.f_eq, self.f_ch = f_eq, f_ch
         self.matched_demapper = matched_demapper
-        self.eq = dirac_taps(n_pol, f_eq)
-        self.ch = dirac_taps(n_pol, f_ch)
-        self.adam = Adam([self.eq.view(np.float64), self.ch.view(np.float64)])
+        shapes = [((n_pol, n_pol, f_eq), complex), ((n_pol, n_pol, f_ch), complex)]
+        self.params, self.grad, (self.eq, self.ch), (self.g_eq, self.g_ch) = _buffers(shapes)
+        self.eq[...] = dirac_taps(n_pol, f_eq)
+        self.ch[...] = dirac_taps(n_pol, f_ch)
+        self.adam = Adam(self.params)
         self.sigma_sq = 1.0          # unit signal energy before the first batch
 
 
 def vae_le_grads(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
                  c: Constellation, ctx: LossContext):
-    """The batch loss of the linear decoder and its gradients.
+    """The batch loss of the linear decoder; its gradients go to ``state.grad``.
 
     ``win`` holds the batch's equalizer windows, (n_b, pol, f_eq), and
-    ``rx_batch`` its samples, (pol, n_b * n_os); ``ctx`` is passed on to
-    ``vae_loss``.  Returns (equalized symbols (pol, n_b), LossBreakdown,
-    dL/d equalizer taps, dL/d channel taps).
+    ``rx_batch`` its samples, (pol, n_b * n_os); ``ctx`` is the run's
+    ``LossContext``.  Returns (equalized symbols (pol, n_b), LossBreakdown).
+
+    The demapper's posterior q over the levels a of an equalized component u
+    has the logits -t^2 / (2 s2) + log p(a), t = u - a (no prior term for a
+    mismatched demapper), at the per-component noise variance s2.  They are
+    quadratic in a, so the KL, E[x] = u - E[t], Var[x] = Var[t] and the
+    loss's gradient w.r.t. u are closed forms in a few moments of t under q:
+    its mean, variance and third central moment, its covariance with log p,
+    and E[logits], all summed over the levels in one product with the
+    table [1, log p].  The moments are taken of t less its mean, so none is
+    the small difference of two large numbers where q is nearly one-hot, and
+    they are exact zeros, as the softmax's gradient is, where q is one-hot.
     """
+    pol = state.n_pol
     wflat = win.reshape(win.shape[0], -1)
-    x_hat = _filter_windows(state.eq, wflat)
-    pol, n_sym = x_hat.shape
+    x_hat = _filter_windows(state.eq, wflat)                     # (pol, n_b)
     # the demapper sees per-component noise: half of the complex variance
     s2 = 0.5 * state.sigma_sq
-    q = soft_demap(x_hat.ravel(), c, s2, state.matched_demapper)
-    q = q.reshape(pol, n_sym, 2, -1).transpose(0, 2, 1, 3)
-    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch, c, ctx)
-    # back through the softmax and its logits -(x - a)^2 / (2 s2)
-    g_q -= (q * g_q).sum(axis=-1, keepdims=True)
-    g_logit = np.multiply(q, g_q, out=g_q)
-    comps = _components(x_hat.T)
-    g_comp = (g_logit * (c.levels - comps[..., None])).sum(axis=-1) / s2
-    gx = g_comp[:, 0] + 1j * g_comp[:, 1]
+    u = x_hat.view(np.float64).reshape(-1)                       # (re, im) per symbol
+    t = u - c.levels[:, None]                                    # (sqrt(M), 2 pol n_b)
+    logits = t * t
+    logits *= -0.5 / s2
+    if state.matched_demapper:
+        logits += ctx.table[1, :, None]
+    logits -= logits.max(axis=0)
+    # e d^k (k = 0..3) and e logits, with e = exp(logits) and d the centred
+    # t below, summed over the levels against [1, log p]
+    et = np.empty((5,) + t.shape)
+    e = np.exp(logits, out=et[0])
+    np.multiply(e, logits, out=et[4])
+    # the moments of d = t - E[t], E[t] from a first pass: d is nearly zero
+    # at a nearly one-hot q's mode, and exactly zero at a one-hot q's
+    np.multiply(e, t, out=et[1])
+    norm, mean_t = ctx.table[0] @ et[:2]
+    mean_t /= norm                                               # E[t]
+    t -= mean_t
+    for k in (1, 2, 3):
+        np.multiply(et[k - 1], t, out=et[k])
+    sums = ctx.table @ et / norm
+    _, m1, m2, m3, e_logit = sums[:, 0]                          # E[d^k], E[logits]
+    l0, l1 = sums[:2, 1]                                         # E[d^k log p]
+    var = m2 - m1 * m1                                           # Var[t]
+    cov_sq = m3 - m2 * m1                                        # Cov(d^2, d)
+    mu3 = cov_sq - 2.0 * m1 * var                                # E[(t - E[t])^3]
+
+    # the KL, E[log q - log p] with log q = logits - ln sum(e), and s2 times
+    # its gradient w.r.t. u, the covariance of log q - log p with t:
+    # Cov(t^2, t) / (2 s2) = (Cov(d^2, d) + 2 E[t] Var[t]) / (2 s2), and
+    # Cov(log p, t) for a mismatched demapper
+    kl = e_logit - np.log(norm) - l0
+    g_kl = (0.5 / s2) * (cov_sq + 2.0 * mean_t * var)
+    if not state.matched_demapper:
+        g_kl += l1 - m1 * l0
+    mean_t += m1                                                 # E[t] = first pass + E[d]
+    shape = (pol, -1, 2)                                         # (pol, n_b, (re, im))
+    a_kl = (kl.reshape(shape) * ctx.sym_mask).sum(axis=(1, 2))
+
+    # the distortion, from E[x] = u - E[t] and Var[x] = Var[t] summed over
+    # (re, im); dE[x]/du = Var[t] / s2 and dVar[x]/du = -E[(t - E[t])^3] / s2
+    var = var.reshape(shape)
+    mean = (u - mean_t).view(np.complex128).reshape(pol, -1)
+    c_vals, g_mean, g_var, g_ch = _distortion(rx_batch, mean, var[..., 0] + var[..., 1],
+                                              state.ch, ctx)
+    state.g_ch[...] = g_ch
+    gu = g_kl.reshape(shape) * ctx.sym_mask
+    gu += g_mean.view(np.float64).reshape(shape) * var
+    gu -= g_var[..., None] * mu3.reshape(shape)
+    gu /= s2
     # and through x_hat = taps x windows
-    g_eq = (gx @ np.conj(wflat)).reshape(state.eq.shape)
-    return x_hat, bd, g_eq, g_ch
+    gx = gu.view(np.complex128).reshape(pol, -1)
+    np.matmul(gx, np.conj(wflat), out=state.g_eq.reshape(pol, -1))
+    return x_hat, _breakdown(a_kl, c_vals, ctx.n_eff)
 
 
 def vae_le_step(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
@@ -447,15 +528,16 @@ def vae_le_step(state: VaeLeState, win: np.ndarray, rx_batch: np.ndarray,
 
     ``win``, ``rx_batch`` and ``ctx`` are as for ``vae_le_grads``.
     """
-    x_hat, bd, g_eq, g_ch = vae_le_grads(state, win, rx_batch, c, ctx)
-    _update(state, bd, [_real_view(g_eq), _real_view(g_ch)], lr)
+    x_hat, bd = vae_le_grads(state, win, rx_batch, c, ctx)
+    _update(state, bd, lr)
     return x_hat, bd
 
 
-def _update(state, bd: LossBreakdown, grads, lr: float) -> None:
-    """The decoders' shared step: Adam and the new sigma^2, skipped on a non-finite loss."""
+def _update(state, bd: LossBreakdown, lr: float) -> None:
+    """The decoders' shared step: Adam on ``state.grad`` and the new sigma^2,
+    skipped on a non-finite loss."""
     if np.isfinite(bd.total):
-        state.adam.step(grads, lr)
+        state.adam.step(state.grad, lr)
         state.sigma_sq = bd.sigma_sq
 
 
@@ -470,8 +552,10 @@ class VaeNnState:
     channels (re, im per pol); layer 2: conv (kernel k2, stride n_os) to
     pol * 2 * sqrt(M) output channels, with a softmax over each sqrt(M)
     group.  Each layer is one weight array, (C_out, C_in, k), and one bias,
-    (C_out, 1), which Adam steps in place.  The channel model is the same
-    butterfly FIR bank as for the linear decoder.
+    (C_out, 1).  The channel model is the same butterfly FIR bank as for the
+    linear decoder.  All five are views of the one float buffer ``params``
+    that Adam steps, and ``vae_nn_grads`` writes their gradients into the
+    matching views of ``grad``.
     """
 
     def __init__(self, n_pol: int, n_os: int, m: int, k1: int, k2: int,
@@ -483,12 +567,16 @@ class VaeNnState:
         n_out = n_pol * 2 * self.n_levels
         s1 = 1.0 / np.sqrt(n_in * k1)
         s2 = 1.0 / np.sqrt(hidden * k2)
-        self.w1 = s1 * rng.standard_normal((hidden, n_in, k1))
-        self.b1 = np.zeros((hidden, 1))
-        self.w2 = s2 * rng.standard_normal((n_out, hidden, k2))
-        self.b2 = np.zeros((n_out, 1))
-        self.ch = dirac_taps(n_pol, f_ch)
-        self.adam = Adam([self.w1, self.b1, self.w2, self.b2, self.ch.view(np.float64)])
+        shapes = [((hidden, n_in, k1), float), ((hidden, 1), float),
+                  ((n_out, hidden, k2), float), ((n_out, 1), float),
+                  ((n_pol, n_pol, f_ch), complex)]
+        self.params, self.grad, views, grads = _buffers(shapes)
+        self.w1, self.b1, self.w2, self.b2, self.ch = views
+        *self.g_net, self.g_ch = grads
+        self.w1[...] = s1 * rng.standard_normal(self.w1.shape)
+        self.w2[...] = s2 * rng.standard_normal(self.w2.shape)
+        self.ch[...] = dirac_taps(n_pol, f_ch)
+        self.adam = Adam(self.params)
         self.sigma_sq = 1.0
         self.f_ch = f_ch
 
@@ -511,23 +599,26 @@ def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
     """The batch loss of the CNN decoder and its gradients.
 
     The closed-form dL/dq goes back through the decoder in one
-    ``ad.backward`` call; ``ctx`` is passed on to ``vae_loss``.  Returns
-    (q, LossBreakdown, dL/d (w1, b1, w2, b2), dL/d channel taps).
+    ``ad.backward`` call; ``ctx`` is passed on to ``vae_loss``.  The
+    gradients go to ``state.grad``; returns (q, LossBreakdown).
     """
     q_cnn, (x, a1, h) = vae_nn_forward(rx_batch, state)
     q = q_cnn.reshape(state.n_pol, 2, -1, state.n_levels)
     bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch, c, ctx)
     g_net = ad.backward(x, state.w1, a1, h, state.w2, state.n_os, q_cnn,
                         g_q.reshape(q_cnn.shape))
-    return q, bd, g_net, g_ch
+    for g, out in zip(g_net, state.g_net):
+        out[...] = g
+    state.g_ch[...] = g_ch
+    return q, bd
 
 
 def vae_nn_step(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
                 lr: float, ctx: LossContext):
     """One CNN-decoder mini-batch at learning rate ``lr``; emits the batch's
     soft symbols E_Q[x] per pol."""
-    q, bd, g_net, g_ch = vae_nn_grads(state, rx_batch, c, ctx)
-    _update(state, bd, [*g_net, _real_view(g_ch)], lr)
+    q, bd = vae_nn_grads(state, rx_batch, c, ctx)
+    _update(state, bd, lr)
     return _soft_symbols(q, c), bd
 
 
@@ -572,7 +663,7 @@ def run_vae(rx: np.ndarray, c: Constellation, state, n_b: int, n_flex: int,
     is_le = isinstance(state, VaeLeState)
     if is_le:
         win = windows(rx, state.f_eq, n_os).transpose(1, 0, 2)  # (n_sym, pol, F)
-    ctx = LossContext(state.n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2)
+    ctx = LossContext(state.n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2, c)
     traj = []
     t = 0
     with np.errstate(over="ignore", invalid="ignore"):

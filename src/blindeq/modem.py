@@ -1,5 +1,6 @@
 """Square-QAM constellations with Maxwell-Boltzmann shaping, sampling,
-entropy, MAP hard decision, and the shaping-aware soft demapper.
+entropy and MAP hard decision.  The shaping-aware soft demapper is part of
+the linear VAE decoder's update, ``equalize.vae_le_grads``.
 
 Normalization convention: the shaping parameter ``nu`` applies to the
 unscaled odd-integer amplitude levels {..., -3, -1, 1, 3, ...}.  The levels
@@ -133,33 +134,3 @@ def _decide_component(v: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     for j, b in enumerate(boundaries):
         idx += ~(v < b) if j < inner else ~(v <= b)
     return idx
-
-
-def soft_demap(x_hat: np.ndarray, c: Constellation, sigma_sq: float,
-               matched: bool) -> np.ndarray:
-    """Per-symbol, per-component posterior approximations.
-
-    Returns an array of shape (N, 2, sqrt(M)); axis 1 is (I, Q).  With
-    ``matched=False`` the shaping correction is dropped (uniform-QAM
-    demapper), reproducing the mismatched-demapper variant.
-    """
-    if sigma_sq <= 0:
-        raise ConfigError(f"noise variance must be positive, got {sigma_sq}")
-    # (N, 2): a complex array's (re, im) pairs, a view when x_hat is one
-    comps = np.ascontiguousarray(x_hat, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-    # -(x - a)^2 / (2 s2), computed in place
-    logits = comps[:, :, None] - c.levels
-    np.square(logits, out=logits)
-    np.negative(logits, out=logits)
-    logits /= 2.0 * sigma_sq
-    if matched:
-        logits -= c.nu_scaled * c.levels ** 2
-    # the row maxima, one level at a time: a maximum is exact in any order,
-    # and this beats a reduction over the short last axis
-    peak = logits[:, :, 0].copy()
-    for j in range(1, c.n_levels):
-        np.maximum(peak, logits[:, :, j], out=peak)
-    logits -= peak[:, :, None]
-    q = np.exp(logits, out=logits)
-    q /= q.sum(axis=2, keepdims=True)
-    return q

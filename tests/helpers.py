@@ -1,8 +1,10 @@
 """Shared test utilities: finite-difference gradient checking, tiny
 variational-loss instances used by both the unit tests and the acceptance
-suite, the exhaustive ambiguity search that evaluate's is checked against,
-a stream-level butterfly filter, the convolution-mean carrier phase
-estimator and the closed-form QAM SER."""
+suite, the softmax-chain reference for the linear decoder's moment-form
+gradients, the per-array Adam that the one-buffer Adam is checked against,
+the exhaustive ambiguity search that evaluate's is checked against, a
+stream-level butterfly filter, the convolution-mean carrier phase estimator
+and the closed-form QAM SER."""
 
 from __future__ import annotations
 
@@ -134,12 +136,11 @@ def vae_nn_forward_loop(rx: np.ndarray, state) -> np.ndarray:
 # against central differences of the batch loss
 
 def tiny_le_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
-    """Small linear-decoder batch: (params, loss, grads), where params are
-    the float views of the taps that Adam steps."""
+    """Small linear-decoder batch: (params, loss, grads), where params is
+    the one float buffer of both filters' taps that Adam steps."""
     c = modem.build_constellation(4, 0.0)
     state = eq.VaeLeState(n_pol=n_pol, n_os=n_os, f_eq=5, f_ch=3, matched_demapper=True)
-    for p in state.adam.params:
-        p += 0.1 * rng.standard_normal(p.shape)
+    state.params += 0.1 * rng.standard_normal(state.params.shape)
     n = 6 * n_os  # a 4-symbol batch and one symbol of context on each side
     rx = rng.standard_normal((n_pol, n)) + 1j * rng.standard_normal((n_pol, n))
     return _le_batch(state, c, rx)
@@ -167,43 +168,44 @@ def dp_le_instance(rng: np.random.Generator):
 
 def _le_batch(state, c, rx: np.ndarray):
     """(params, loss, grads) of the linear-decoder batch in rx (pol, n), one
-    symbol of context on each side excluded; params are the float views of
-    the taps that Adam steps."""
+    symbol of context on each side excluded; params is the one float buffer
+    of the taps that Adam steps, and grads its gradient buffer."""
     n_pol, n_os = state.n_pol, state.n_os
     n_b = rx.shape[1] // n_os - 2
     win = sigproc.windows(rx, state.f_eq, n_os).transpose(1, 0, 2)[1: 1 + n_b]
     batch = rx[:, n_os: (1 + n_b) * n_os]
-    ctx = eq.LossContext(n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2)
+    ctx = eq.LossContext(n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2, c)
 
     def grads():
-        _, _, g_eq, g_ch = eq.vae_le_grads(state, win, batch, c, ctx)
-        return [eq._real_view(g_eq), eq._real_view(g_ch)]
+        eq.vae_le_grads(state, win, batch, c, ctx)
+        return [state.grad.copy()]
 
-    return (state.adam.params,
+    return ([state.params],
             lambda: eq.vae_le_grads(state, win, batch, c, ctx)[1].total, grads)
 
 
 def tiny_nn_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
-    """Small CNN-decoder batch: (params, loss, grads) over the decoder's
-    weights and biases and the channel-model taps."""
+    """Small CNN-decoder batch: (params, loss, grads) over the one float
+    buffer of the decoder's weights and biases and the channel-model taps."""
     c = modem.build_constellation(4, 0.0)
     state = eq.VaeNnState(n_pol=n_pol, n_os=n_os, m=4, k1=3, k2=3, f_ch=3,
                           rng=rng, hidden=2)
-    state.adam.params[-1] += 0.1 * rng.standard_normal(state.adam.params[-1].shape)
+    ch = state.ch.view(np.float64)
+    ch += 0.1 * rng.standard_normal(ch.shape)
     n_b = 4
     rx = (rng.standard_normal((n_pol, n_b * n_os))
           + 1j * rng.standard_normal((n_pol, n_b * n_os)))
-    ctx = eq.LossContext(n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2)
+    ctx = eq.LossContext(n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2, c)
 
     def loss():
         q = eq.vae_nn_forward(rx, state)[0].reshape(n_pol, 2, n_b, -1)
         return eq.vae_loss(rx, q, state.ch, c, ctx)[0].total
 
     def grads():
-        _, _, g_net, g_ch = eq.vae_nn_grads(state, rx, c, ctx)
-        return [*g_net, eq._real_view(g_ch)]
+        eq.vae_nn_grads(state, rx, c, ctx)
+        return [state.grad.copy()]
 
-    return state.adam.params, loss, grads
+    return [state.params], loss, grads
 
 
 # the full-loss instances criterion 1 checks: one and two polarizations,
@@ -216,6 +218,64 @@ LOSS_INSTANCES = (
     ("nn_2pol", lambda rng: tiny_nn_instance(rng, n_pol=2)),
     ("nn_sym_spaced", lambda rng: tiny_nn_instance(rng, n_os=1)),
 )
+
+
+# ---------------------------------------------------------------------------
+# the linear decoder's gradients through the demapper's softmax: the
+# reference for the moment form of equalize.vae_le_grads
+
+def soft_demap(x_hat: np.ndarray, c: modem.Constellation, sigma_sq: float,
+               matched: bool) -> np.ndarray:
+    """Per-symbol, per-component posterior approximations, in the layout of
+    x_hat plus (2, sqrt(M)); axis -2 is (I, Q).  With ``matched=False`` the
+    shaping correction is dropped (uniform-QAM demapper)."""
+    x_hat = np.asarray(x_hat, dtype=np.complex128)
+    comps = np.stack([x_hat.real, x_hat.imag], axis=-1)
+    logits = -(comps[..., None] - c.levels) ** 2 / (2.0 * sigma_sq)
+    if matched:
+        logits -= c.nu_scaled * c.levels ** 2
+    q = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return q / q.sum(axis=-1, keepdims=True)
+
+
+def vae_le_grads_softmax(state, win, rx_batch, c, ctx):
+    """equalize.vae_le_grads through the posteriors: q from ``soft_demap``,
+    dL/dq from ``equalize.vae_loss``, back through the softmax and its
+    logits -(x - a)^2 / (2 s2), then through x_hat = taps x windows.
+    Returns (x_hat, LossBreakdown, dL/d equalizer taps, dL/d channel taps)."""
+    wflat = win.reshape(win.shape[0], -1)
+    x_hat = eq._filter_windows(state.eq, wflat)
+    s2 = 0.5 * state.sigma_sq
+    q = soft_demap(x_hat, c, s2, state.matched_demapper).transpose(0, 2, 1, 3)
+    bd, g_q, g_ch = eq.vae_loss(rx_batch, q, state.ch, c, ctx)
+    # the softmax's backward pass, q_a (g_a - sum_b q_b g_b), summed in pairs
+    # as q_a sum_b q_b (g_a - g_b), so that where q is nearly one-hot the
+    # mode's term is not the small difference of two large ones
+    g_logit = q * ((g_q[..., :, None] - g_q[..., None, :]) @ q[..., None])[..., 0]
+    comps = np.stack([x_hat.real, x_hat.imag], axis=1)           # (pol, 2, n_sym)
+    g_comp = (g_logit * (c.levels - comps[..., None])).sum(axis=-1) / s2
+    g_eq = ((g_comp[:, 0] + 1j * g_comp[:, 1]) @ np.conj(wflat)).reshape(state.eq.shape)
+    return x_hat, bd, g_eq, g_ch
+
+
+class AdamPerArray:
+    """Adam over a list of float arrays, one moment pair per array: the
+    per-array optimizer that equalize.Adam's one buffer replaced."""
+
+    def __init__(self, params):
+        self.params = list(params)
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+        self.t = 0
+
+    def step(self, grads, lr: float) -> None:
+        self.t += 1
+        b1c = 1.0 - 0.9 ** self.t
+        b2c = 1.0 - 0.999 ** self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m += (1.0 - 0.9) * (g - m)
+            v += (1.0 - 0.999) * (g * g - v)
+            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + 1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_awgn_isi_snr_calibration():
 def test_dp_matrix_unitary():
     cfg = _dp()
     f = np.linspace(-90e9, 90e9, 41)
-    h = ch.dp_channel_matrix(f, cfg, cfg.gamma_hv)
+    h = ch.dp_channel_matrix(ch.dp_phases(f, cfg), cfg, cfg.gamma_hv)
     for k in range(f.shape[0]):
         m = h[:, :, k]
         assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
@@ -81,7 +81,7 @@ def test_dp_matrix_unitary():
 
 def test_dp_matrix_no_pmd_is_scalar_phase():
     cfg = _dp(d_pmd=0.0, l_cd=0.0)
-    h = ch.dp_channel_matrix(np.array([1e9, 5e9]), cfg, cfg.gamma_hv)
+    h = ch.dp_channel_matrix(ch.dp_phases(np.array([1e9, 5e9]), cfg), cfg, cfg.gamma_hv)
     # without birefringence the rotation cancels: no cross-talk
     assert np.allclose(h[0, 1], 0.0, atol=1e-12)
     assert np.allclose(h[1, 0], 0.0, atol=1e-12)
@@ -93,7 +93,7 @@ def test_dp_matrix_full_swap_at_45deg_half_dgd():
     # destructively on the diagonal: complete polarization swap
     cfg = _dp()
     tau = cfg.d_pmd * np.sqrt(cfg.l_pmd) * 1e-12  # DGD: ps / sqrt(km) times sqrt(km)
-    h = ch.dp_channel_matrix(np.array([1.0 / (2.0 * tau)]), cfg, np.pi / 4)
+    h = ch.dp_channel_matrix(ch.dp_phases(np.array([1.0 / (2.0 * tau)]), cfg), cfg, np.pi / 4)
     assert abs(h[0, 0, 0]) < 1e-12 and abs(h[1, 1, 0]) < 1e-12
     assert abs(abs(h[0, 1, 0]) - 1.0) < 1e-12
 
@@ -104,21 +104,24 @@ def test_gamma_schedule():
     rng = np.random.default_rng(6)
     a = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     b = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    f = sigproc.frequency_grid(512, cfg.n_os, 90e9)
+    phases = ch.dp_phases(sigproc.frequency_grid(512, cfg.n_os, 90e9), cfg)
     for k, gamma in ((0, 0.1), (3, 0.1 + 9e4 * 3 * 10_000 / 90e9)):
-        h = ch.dp_channel_matrix(f, cfg, gamma)
+        h = ch.dp_channel_matrix(phases, cfg, gamma)
         fa, fb = np.fft.fft(a), np.fft.fft(b)
         ref = [np.fft.ifft(h[p, 0] * fa + h[p, 1] * fb) for p in (0, 1)]
-        assert np.allclose(ch.dp_apply(a, b, cfg, k), ref, rtol=0, atol=1e-12)
+        assert np.allclose(ch.dp_apply(a, b, cfg, k, phases), ref, rtol=0, atol=1e-12)
     # the drift is visible: frame 3 is not frame 0
-    assert not np.allclose(ch.dp_apply(a, b, cfg, 3), ch.dp_apply(a, b, cfg, 0), atol=1e-3)
+    assert not np.allclose(ch.dp_apply(a, b, cfg, 3, phases), ch.dp_apply(a, b, cfg, 0, phases),
+                           atol=1e-3)
 
 
 def test_dp_apply_energy_conserving():
     rng = np.random.default_rng(3)
     a = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
     b = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
-    out_a, out_b = ch.dp_apply(a, b, _dp(snr_db=np.inf), 0)
+    cfg = _dp(snr_db=np.inf)
+    phases = ch.dp_phases(sigproc.frequency_grid(4096, cfg.n_os, cfg.symbol_rate), cfg)
+    out_a, out_b = ch.dp_apply(a, b, cfg, 0, phases)
     e_in = np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2)
     e_out = np.sum(np.abs(out_a) ** 2) + np.sum(np.abs(out_b) ** 2)
     assert abs(e_out / e_in - 1.0) < 1e-12
@@ -135,7 +138,8 @@ def test_dp_run_matches_single_frame():
     a = sigproc.shape(modem.sample_symbols(c, n, rng), rrc, 2)
     b = sigproc.shape(modem.sample_symbols(c, n, rng), rrc, 2)
     cfg = _dp(snr_db=np.inf, dgamma_hv=0.0, n_frame=5_000)
-    ra, rb = ch.dp_apply(a, b, cfg, 0)
+    ra, rb = ch.dp_apply(a, b, cfg, 0, ch.dp_phases(
+        sigproc.frequency_grid(a.shape[0], cfg.n_os, cfg.symbol_rate), cfg))
     sl = slice(2048, 2 * n - 2048)  # skip the stream edges
 
     def err(guard):
@@ -161,9 +165,9 @@ def test_dp_run_transforms_at_the_next_5_smooth_length(monkeypatch, n_frame, n_o
     lengths = []
     apply = ch.dp_apply
 
-    def spy(a, b, cfg, k):
+    def spy(a, b, cfg, k, phases):
         lengths.append(a.shape[0])
-        return apply(a, b, cfg, k)
+        return apply(a, b, cfg, k, phases)
 
     monkeypatch.setattr(ch, "dp_apply", spy)
     n = 2 * n_frame * n_os

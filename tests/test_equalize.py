@@ -11,8 +11,8 @@ from blindeq import equalize as eq
 from blindeq import evaluate as ev
 from blindeq import modem, sigproc
 from blindeq.errors import ConfigError
-from helpers import (butterfly_apply, dp_le_instance, max_gradient_error, vae_nn_forward_loop,
-                     viterbi_viterbi_cpe_convolution)
+from helpers import (AdamPerArray, butterfly_apply, dp_le_instance, max_gradient_error,
+                     vae_le_grads_softmax, vae_nn_forward_loop, viterbi_viterbi_cpe_convolution)
 
 
 def test_godard_radius():
@@ -252,8 +252,8 @@ def test_adam_first_step_oracle():
     rng = np.random.default_rng(6)
     g = rng.standard_normal(5)
     p = np.zeros(5)
-    opt = eq.Adam([p])
-    opt.step([g], 1e-2)
+    opt = eq.Adam(p)
+    opt.step(g, 1e-2)
     # bias-corrected first step reduces to a signed step of size ~lr
     assert np.allclose(p, -1e-2 * g / (np.abs(g) + 1e-8), atol=1e-12)
 
@@ -262,9 +262,9 @@ def test_adam_two_step_oracle():
     rng = np.random.default_rng(7)
     g1, g2 = rng.standard_normal(3), rng.standard_normal(3)
     p = np.zeros(3)
-    opt = eq.Adam([p])
+    opt = eq.Adam(p)
     for g in (g1, g2):
-        opt.step([g], 1e-2)
+        opt.step(g, 1e-2)
     # independent re-derivation of two textbook Adam steps
     b1, b2, e = 0.9, 0.999, 1e-8
     m = (1 - b1) * g1
@@ -281,14 +281,14 @@ def test_adam_complex_view_is_real_and_imaginary_parts():
     # and imaginary parts as separate parameters, bit for bit
     rng = np.random.default_rng(15)
     z = rng.standard_normal((2, 2, 5)) + 1j * rng.standard_normal((2, 2, 5))
-    re, im = z.real.copy(), z.imag.copy()
-    opt_z = eq.Adam([z.view(np.float64)])
-    opt_parts = eq.Adam([re, im])
+    parts = np.stack([z.real, z.imag])
+    opt_z = eq.Adam(z.view(np.float64))
+    opt_parts = eq.Adam(parts)
     for _ in range(3):
         g = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
-        opt_z.step([eq._real_view(g)], 1e-2)
-        opt_parts.step([g.real, g.imag], 1e-2)
-    assert np.array_equal(z.real, re) and np.array_equal(z.imag, im)
+        opt_z.step(g.view(np.float64), 1e-2)
+        opt_parts.step(np.stack([g.real, g.imag]), 1e-2)
+    assert np.array_equal(z.real, parts[0]) and np.array_equal(z.imag, parts[1])
 
 
 def test_vae_loss_one_hot_oracle():
@@ -303,7 +303,7 @@ def test_vae_loss_one_hot_oracle():
     eye = np.eye(c.n_levels)
     q = np.stack([eye[i_idx], eye[q_idx]])[None]
     h = np.array([[[0.0, 1.0, 0.0]]], dtype=complex)
-    bd, _, _ = eq.vae_loss(y[None, :], q, h, c, eq.LossContext(1, n, 3, 1, 0))
+    bd, _, _ = eq.vae_loss(y[None, :], q, h, c, eq.LossContext(1, n, 3, 1, 0, c))
     c_ref = float(np.sum(np.abs(y - s) ** 2))
     assert abs(bd.c_dist[0] - c_ref) < 1e-10
     kl_ref = -float(np.sum(np.log(c.prior[i_idx])) + np.sum(np.log(c.prior[q_idx])))
@@ -323,7 +323,7 @@ def test_vae_loss_context_reuse(pol, n_os, edge_trim):
     c = modem.build_constellation(16, 0.02)
     n_sym, f = 10, 5
     n = n_sym * n_os
-    ctx = eq.LossContext(pol, n, f, n_os, edge_trim)
+    ctx = eq.LossContext(pol, n, f, n_os, edge_trim, c)
     returned = []
     for _ in range(3):
         rx = rng.standard_normal((pol, n)) + 1j * rng.standard_normal((pol, n))
@@ -332,7 +332,7 @@ def test_vae_loss_context_reuse(pol, n_os, edge_trim):
         h = rng.standard_normal((pol, pol, f)) + 1j * rng.standard_normal((pol, pol, f))
         bd, g_q, g_h = eq.vae_loss(rx, q, h, c, ctx)
         bd_fresh, g_q_fresh, g_h_fresh = eq.vae_loss(
-            rx, q, h, c, eq.LossContext(pol, n, f, n_os, edge_trim))
+            rx, q, h, c, eq.LossContext(pol, n, f, n_os, edge_trim, c))
         assert bd == bd_fresh
         assert np.array_equal(g_q, g_q_fresh) and np.array_equal(g_h, g_h_fresh)
         returned.append((g_q, g_h, g_q.copy(), g_h.copy()))
@@ -352,6 +352,97 @@ def test_vae_le_grads_at_dp_recipe_shape(seed):
     assert err < 1e-4, f"seed {seed}: {err:.3e}"
 
 
+# (pol, n_os, M, nu, matched demapper, edge trim F // 2): every pol count,
+# oversampling, order, shaping, demapper and trim, each with each other
+_ORACLE_LINKS = [
+    (1, 1, 4, 0.0, True, False),
+    (1, 2, 16, 0.08, False, True),
+    (2, 1, 64, 0.02, True, True),
+    (2, 2, 4, 0.3, False, False),
+    (2, 2, 64, 0.0, False, True),
+    (1, 1, 64, 0.02, False, False),
+    (2, 1, 16, 0.0, True, False),
+    (1, 2, 64, 0.0, True, True),
+    (2, 2, 16, 0.08, True, True),
+]
+
+
+@pytest.mark.parametrize("sigma_sq", [1.0, 0.05, 1e-3, 1e-6])
+@pytest.mark.parametrize("link", _ORACLE_LINKS, ids=lambda l: "pol{}-os{}-{}qam-nu{}-{}-{}".format(
+    l[0], l[1], l[2], l[3], "matched" if l[4] else "mismatched", "trim" if l[5] else "notrim"))
+def test_vae_le_grads_match_softmax_chain(link, sigma_sq):
+    # the moment form against the chain through q: the softmax, vae_loss's
+    # dL/dq and the logits' derivative, to 1e-12 of the whole gradient's norm.
+    # At small sigma^2 most posteriors are one-hot, where the chain's
+    # equalizer gradient is exactly zero, and so must the moments' be:
+    # centred moments are, raw ones are not
+    pol, n_os, m, nu, matched, trim = link
+    rng = np.random.default_rng(_ORACLE_LINKS.index(link))
+    c = modem.build_constellation(m, nu)
+    state = eq.VaeLeState(pol, n_os, f_eq=7, f_ch=5, matched_demapper=matched)
+    state.params += 0.1 * rng.standard_normal(state.params.shape)
+    state.sigma_sq = sigma_sq
+    n_b = 40
+    rx = rng.standard_normal((pol, (n_b + 2) * n_os)) + 1j * rng.standard_normal((pol, (n_b + 2) * n_os))
+    rx /= np.sqrt(2 * n_os)
+    win = sigproc.windows(rx, 7, n_os).transpose(1, 0, 2)[1: 1 + n_b]
+    batch = rx[:, n_os: (1 + n_b) * n_os]
+    ctx = eq.LossContext(pol, n_b * n_os, 5, n_os, 2 if trim else 0, c)
+    x_hat, bd = eq.vae_le_grads(state, win, batch, c, ctx)
+    x_ref, bd_ref, g_eq_ref, g_ch_ref = vae_le_grads_softmax(state, win, batch, c, ctx)
+    assert np.array_equal(x_hat, x_ref)
+    for v, ref in ((bd.a_kl, bd_ref.a_kl), (bd.total, bd_ref.total),
+                   (bd.sigma_sq, bd_ref.sigma_sq), *zip(bd.c_dist, bd_ref.c_dist)):
+        assert abs(v - ref) <= 1e-12 * abs(ref)
+    scale = np.hypot(np.linalg.norm(g_eq_ref), np.linalg.norm(g_ch_ref))
+    for g, ref in ((state.g_eq, g_eq_ref), (state.g_ch, g_ch_ref)):
+        assert np.linalg.norm(g - ref) <= 1e-12 * scale
+    if not np.any(g_eq_ref):
+        assert not np.any(state.g_eq)
+
+
+def test_vae_le_step_moves_taps_through_the_shared_buffer():
+    # one update: Adam steps the one buffer, and eq and ch, its views, move
+    rng = np.random.default_rng(23)
+    c = modem.build_constellation(16, 0.0)
+    state = eq.VaeLeState(2, 2, f_eq=5, f_ch=3, matched_demapper=True)
+    assert np.shares_memory(state.eq, state.params) and np.shares_memory(state.ch, state.params)
+    assert np.shares_memory(state.g_eq, state.grad) and np.shares_memory(state.g_ch, state.grad)
+    eq0, ch0 = state.eq.copy(), state.ch.copy()
+    rx = rng.standard_normal((2, 48)) + 1j * rng.standard_normal((2, 48))
+    win = sigproc.windows(rx, 5, 2).transpose(1, 0, 2)
+    eq.vae_le_step(state, win, rx, c, 1e-2, eq.LossContext(2, 48, 3, 2, 1, c))
+    assert state.adam.t == 1
+    assert np.all(state.eq != eq0) and np.any(state.ch != ch0)
+    # each by Adam's first step on its own entry of the gradient buffer
+    step = np.concatenate([(eq0 - state.eq).view(np.float64).ravel(),
+                           (ch0 - state.ch).view(np.float64).ravel()])
+    g = state.grad
+    np.testing.assert_allclose(step, 1e-2 * g / (np.abs(g) + 1e-8), rtol=1e-9, atol=1e-15)
+
+
+def test_vae_nn_one_buffer_is_adam_per_array():
+    # Adam is elementwise, so three VAE-NN updates through the one buffer
+    # give, bit for bit, what Adam over the five arrays gives
+    c = modem.build_constellation(16, 0.0)
+    a = eq.VaeNnState(2, 2, 16, k1=5, k2=3, f_ch=5, rng=np.random.default_rng(24), hidden=6)
+    b = eq.VaeNnState(2, 2, 16, k1=5, k2=3, f_ch=5, rng=np.random.default_rng(24), hidden=6)
+    ref = AdamPerArray([b.w1, b.b1, b.w2, b.b2, b.ch.view(np.float64)])
+    ctx = eq.LossContext(2, 60, 5, 2, 2, c)
+    rng = np.random.default_rng(25)
+    for _ in range(3):
+        rx = rng.standard_normal((2, 60)) + 1j * rng.standard_normal((2, 60))
+        out, _ = eq.vae_nn_step(a, rx, c, 1e-2, ctx)
+        q, bd = eq.vae_nn_grads(b, rx, c, ctx)
+        ref.step([*b.g_net, b.g_ch.view(np.float64)], 1e-2)
+        b.sigma_sq = bd.sigma_sq
+        assert np.array_equal(out, eq._soft_symbols(q, c))
+    assert a.sigma_sq == b.sigma_sq
+    assert np.array_equal(a.params, b.params)
+    assert np.array_equal(a.adam.m, np.concatenate([m.ravel() for m in ref.m]))
+    assert np.array_equal(a.adam.v, np.concatenate([v.ravel() for v in ref.v]))
+
+
 def test_vae_le_step_learns_identity_channel():
     rng = np.random.default_rng(10)
     c = modem.build_constellation(4, 0.0)
@@ -365,7 +456,7 @@ def test_vae_le_step_learns_identity_channel():
     # the batch starts a few symbols in, so its windows see the samples around it
     win = sigproc.windows(rx, state.f_eq, 2).transpose(1, 0, 2)[3: 3 + n_b]
     batch = rx[:, 6: 6 + 2 * n_b]
-    ctx = eq.LossContext(1, 2 * n_b, state.f_ch, 2, state.f_ch // 2)
+    ctx = eq.LossContext(1, 2 * n_b, state.f_ch, 2, state.f_ch // 2, c)
     losses = []
     for _ in range(400):
         _, bd = eq.vae_le_step(state, win, batch, c, 2e-3, ctx)
@@ -447,7 +538,8 @@ def test_vae_nn_forward_matches_convolve_loop(pol, n_os, k2):
 
 def test_vae_nn_update_is_two_conv_nodes_and_five_adam_arrays(monkeypatch):
     # one update: two convolutions, one reverse pass, one Adam step over the
-    # two weights, the two biases and the channel taps
+    # two weights, the two biases and the channel taps, all views of its one
+    # buffer
     calls = {"conv1d_full": 0, "backward": 0}
     for name in calls:
         def counted(*args, _fn=getattr(eq.ad, name), _name=name):
@@ -458,9 +550,11 @@ def test_vae_nn_update_is_two_conv_nodes_and_five_adam_arrays(monkeypatch):
     rng = np.random.default_rng(0)
     state = eq.VaeNnState(2, 2, 64, k1=29, k2=3, f_ch=25, rng=rng)
     rx = rng.standard_normal((2, 700)) + 1j * rng.standard_normal((2, 700))
-    eq.vae_nn_step(state, rx, c, 1e-3, eq.LossContext(2, 700, 25, 2, 12))
+    eq.vae_nn_step(state, rx, c, 1e-3, eq.LossContext(2, 700, 25, 2, 12, c))
     assert calls == {"conv1d_full": 2, "backward": 1}
-    assert len(state.adam.params) == 5
+    arrays = (state.w1, state.b1, state.w2, state.b2, state.ch.view(np.float64))
+    assert all(np.shares_memory(a, state.adam.params) for a in arrays)
+    assert sum(a.size for a in arrays) == state.adam.params.size == state.grad.size
 
 
 @pytest.mark.parametrize("kind", ["VAE-LE", "VAE-NN"])
@@ -472,7 +566,7 @@ def test_vae_step_stops_on_non_finite_loss(kind):
     rx = rng.standard_normal((1, 16)) + 1j * rng.standard_normal((1, 16))
     state = (eq.VaeLeState(1, 2, f_eq=3, f_ch=3, matched_demapper=True) if kind == "VAE-LE" else
              eq.VaeNnState(1, 2, 4, k1=3, k2=3, f_ch=3, rng=rng, hidden=2))
-    ctx = eq.LossContext(1, 16, 3, 2, 1)
+    ctx = eq.LossContext(1, 16, 3, 2, 1, c)
 
     def step(x):
         if kind == "VAE-LE":
@@ -482,12 +576,12 @@ def test_vae_step_stops_on_non_finite_loss(kind):
 
     step(rx)
     assert state.sigma_sq != 1.0
-    before = [p.copy() for p in state.adam.params]
+    before = state.adam.params.copy()
     sigma_sq, t = state.sigma_sq, state.adam.t
     _, bd = step(np.full_like(rx, np.nan))
     assert not np.isfinite(bd.total)
     assert (state.sigma_sq, state.adam.t) == (sigma_sq, t)
-    assert all(np.array_equal(a, b) for a, b in zip(before, state.adam.params))
+    assert np.array_equal(state.adam.params, before)
 
 
 @pytest.mark.parametrize("kind", ["VAE-LE", "VAE-NN"])

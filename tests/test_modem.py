@@ -1,4 +1,5 @@
-"""Constellations, shaping, sampling, and the demappers."""
+"""Constellations, shaping, sampling, and the demappers: the MAP decision,
+and the soft demapper that the linear decoder's reference gradients use."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from blindeq import modem
 from blindeq.errors import ConfigError
+from helpers import soft_demap
 
 
 @pytest.mark.parametrize("m", [4, 16, 64])
@@ -133,7 +135,7 @@ def test_soft_demap_is_bayes_posterior():
     c = modem.build_constellation(64, 0.04)
     v = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     s2 = 0.07
-    q = modem.soft_demap(v, c, s2, matched=True)
+    q = soft_demap(v, c, s2, matched=True)
     # independent oracle: q(a | v) ~ prior(a) exp(-(v - a)^2 / (2 s2))
     for comp, vals in ((0, v.real), (1, v.imag)):
         like = np.exp(-(vals[:, None] - c.levels[None, :]) ** 2 / (2 * s2))
@@ -147,7 +149,7 @@ def test_soft_demap_unmatched_drops_prior():
     rng = np.random.default_rng(5)
     c = modem.build_constellation(64, 0.04)
     v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    q = modem.soft_demap(v, c, 0.05, matched=False)
+    q = soft_demap(v, c, 0.05, matched=False)
     like = np.exp(-(v.real[:, None] - c.levels[None, :]) ** 2 / (2 * 0.05))
     assert np.allclose(q[:, 0], like / like.sum(axis=1, keepdims=True))
 
@@ -159,14 +161,13 @@ def test_map_decide_matches_argmax_posterior(s2, seed):
     c = modem.build_constellation(16, 0.06)
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     i_idx, q_idx = modem.map_decide(v, c, s2)
-    q = modem.soft_demap(v, c, s2, matched=True)
+    q = soft_demap(v, c, s2, matched=True)
     assert np.array_equal(i_idx, q[:, 0].argmax(axis=1))
     assert np.array_equal(q_idx, q[:, 1].argmax(axis=1))
 
 
 def test_demap_rejects_bad_variance():
     c = modem.build_constellation(4, 0.0)
-    with pytest.raises(ConfigError):
-        modem.soft_demap(np.array([1j]), c, 0.0, matched=True)
-    with pytest.raises(ConfigError):
-        modem.map_decide(np.array([1j]), c, -1.0)
+    for sigma_sq in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            modem.map_decide(np.array([1j]), c, sigma_sq)
