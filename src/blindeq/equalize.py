@@ -209,32 +209,56 @@ def viterbi_viterbi_cpe(x: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-# the MMSE genie's ridge on the Gram matrix, and its symbol-delay search range
-_MMSE_RIDGE, _MMSE_MAX_DELAY = 1e-12, 4
+# the MMSE genie's ridge on the Gram matrix, its symbol-delay search range,
+# and the window rows it copies at a time (chosen by measurement)
+_MMSE_RIDGE, _MMSE_MAX_DELAY, _MMSE_BLOCK = 1e-12, 4, 2048
 
 
 def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int, sps: int):
     """Genie-aided linear MMSE equalizer (symbol- or fractionally spaced).
 
     Least-squares over the tap vector with centered, symbol-strided windows
-    and a small integer symbol-delay search; returns (taps, equalized output
-    aligned to tx, delay).
+    and a small integer symbol-delay search: the target of delay d is
+    np.roll(tx, d), and the first delay of least residual wins.  Returns
+    (taps, equalized output aligned to tx, delay).
+
+    The normal equations, the residuals and the output are taken in passes
+    over blocks of _MMSE_BLOCK window rows, so memory stays bounded by a
+    block, not by the (n_sym, n_taps) window matrix.
     """
     n_sym = min(tx.shape[0], rx.shape[0] // sps)
     # an even n_taps gives windows one window more than there are symbols
     x = windows(rx[None, :], n_taps, sps)[0, :n_sym]
-    xh = x.conj().T
-    gram = xh @ x + _MMSE_RIDGE * np.eye(n_taps)
-    best = None
-    for d in range(-_MMSE_MAX_DELAY, _MMSE_MAX_DELAY + 1):
-        target = np.roll(tx[:n_sym], d)
-        w = np.linalg.solve(gram, xh @ target)
-        resid = float(np.linalg.norm(x @ w - target) ** 2)
-        if best is None or resid < best[0]:
-            best = (resid, w, d)
-    _, w, d = best
-    out = np.roll(x @ w, -d)
-    return w, out, d
+    tx = tx[:n_sym]
+    delays = np.arange(-_MMSE_MAX_DELAY, _MMSE_MAX_DELAY + 1)
+    blocks = [slice(lo, min(lo + _MMSE_BLOCK, n_sym))
+              for lo in range(0, n_sym, _MMSE_BLOCK)]
+
+    def block(s):
+        # the block's windows, copied, and its targets: column k of the
+        # targets is np.roll(tx, delays[k])[s]
+        rows = np.arange(s.start, s.stop)
+        return np.ascontiguousarray(x[s]), tx[(rows[:, None] - delays) % n_sym]
+
+    gram = _MMSE_RIDGE * np.eye(n_taps, dtype=np.complex128)
+    xh_t = np.zeros((n_taps, delays.size), dtype=np.complex128)
+    for s in blocks:
+        xb, tb = block(s)
+        xbh = xb.conj().T
+        gram += xbh @ xb
+        xh_t += xbh @ tb
+    w_all = np.linalg.solve(gram, xh_t)
+    resid = np.zeros(delays.size)
+    for s in blocks:
+        xb, tb = block(s)
+        r = xb @ w_all - tb
+        resid += (r.real ** 2 + r.imag ** 2).sum(axis=0)
+    k = int(np.argmin(resid))  # the first of equal residuals
+    w, d = w_all[:, k], int(delays[k])
+    out = np.empty(n_sym, dtype=np.complex128)
+    for s in blocks:
+        out[s] = np.ascontiguousarray(x[s]) @ w
+    return w, np.roll(out, -d), d
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ variational-loss instances used by both the unit tests and the acceptance
 suite, the softmax-chain reference for the linear decoder's moment-form
 gradients, the per-array Adam that the one-buffer Adam is checked against,
 the exhaustive ambiguity search that evaluate's is checked against, a
-stream-level butterfly filter, the convolution-mean carrier phase estimator
-and the closed-form QAM SER."""
+stream-level butterfly filter, the convolution-mean carrier phase estimator,
+the MMSE genie's direct solve and the closed-form QAM SER."""
 
 from __future__ import annotations
 
@@ -356,6 +356,25 @@ def viterbi_viterbi_cpe_convolution(x: np.ndarray, window: int) -> np.ndarray:
             z = sigproc.convolve_same(x[p] ** 4, kernel)
             out[p] = x[p] * np.exp(-0.25j * np.unwrap(np.angle(-z)))
     return out
+
+
+def mmse_baseline_direct(rx: np.ndarray, tx: np.ndarray, n_taps: int, sps: int):
+    """equalize.mmse_baseline over the whole (n_sym, n_taps) window matrix at
+    once, one solve and one residual per delay: the reference for the blocked
+    normal equations."""
+    n_sym = min(tx.shape[0], rx.shape[0] // sps)
+    x = sigproc.windows(rx[None, :], n_taps, sps)[0, :n_sym]
+    xh = x.conj().T
+    gram = xh @ x + eq._MMSE_RIDGE * np.eye(n_taps)
+    best = None
+    for d in range(-eq._MMSE_MAX_DELAY, eq._MMSE_MAX_DELAY + 1):
+        target = np.roll(tx[:n_sym], d)
+        w = np.linalg.solve(gram, xh @ target)
+        resid = float(np.linalg.norm(x @ w - target) ** 2)
+        if best is None or resid < best[0]:
+            best = (resid, w, d)
+    _, w, d = best
+    return w, np.roll(x @ w, -d), d
 
 
 def qam_awgn_ser(m: int, snr_db: float) -> float:

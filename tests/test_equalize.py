@@ -1,6 +1,7 @@
 """Equalizers: CMA family, carrier phase estimation, the genie MMSE
 baseline, Adam, and the variational loss."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,8 @@ from blindeq import evaluate as ev
 from blindeq import modem, sigproc
 from blindeq.errors import ConfigError
 from helpers import (AdamPerArray, butterfly_apply, dp_le_instance, max_gradient_error,
-                     vae_le_grads_softmax, vae_nn_forward_loop, viterbi_viterbi_cpe_convolution)
+                     mmse_baseline_direct, rel_err, vae_le_grads_softmax, vae_nn_forward_loop,
+                     viterbi_viterbi_cpe_convolution)
 
 
 def test_godard_radius():
@@ -246,6 +248,43 @@ def test_mmse_baseline_fractionally_spaced():
     _, out, _ = eq.mmse_baseline(rx, s, n_taps=40, sps=2)
     mse = np.mean(np.abs(out[100:-100] - s[100:-100]) ** 2)
     assert mse < 1e-2
+
+
+def _mmse_link(n_sym: int, sps: int, snr_db: float, seed: int):
+    """16-QAM symbols through the H_SIM ISI channel at sps: (rx, symbols)."""
+    rng = np.random.default_rng(seed)
+    s = modem.sample_symbols(modem.build_constellation(16, 0.0), n_sym, rng)
+    tx = sigproc.upsample_zero_insert(s, sps)
+    return ch.awgn_isi_apply(tx, sps, ch.H_SIM, snr_db, rng), s
+
+
+# below one block, exactly two blocks, and two blocks and a partial third
+@pytest.mark.parametrize("n_sym", [1000, 2 * eq._MMSE_BLOCK, 2 * eq._MMSE_BLOCK + 1234])
+@pytest.mark.parametrize("sps", [1, 2])
+@pytest.mark.parametrize("n_taps", [21, 40])
+@pytest.mark.parametrize("snr_db", [np.inf, 20.0])
+def test_mmse_baseline_blocked_matches_direct_solve(n_sym, sps, n_taps, snr_db):
+    rx, s = _mmse_link(n_sym, sps, snr_db, seed=n_sym + 10 * sps + n_taps)
+    w, out, d = eq.mmse_baseline(rx, s, n_taps, sps)
+    w_ref, out_ref, d_ref = mmse_baseline_direct(rx, s, n_taps, sps)
+    assert d == d_ref
+    assert w.shape == w_ref.shape and out.shape == out_ref.shape == s.shape
+    # a blocked sum is summed in another order, so equal only to rounding
+    assert rel_err(w, w_ref) <= 1e-12
+    assert rel_err(out, out_ref) <= 1e-12
+
+
+def test_mmse_baseline_memory_bounded_by_block():
+    # 100k symbols at 2 sps and 40 taps: the window matrix alone is 64 MB
+    n_sym, n_taps = 100_000, 40
+    rx, s = _mmse_link(n_sym, 2, 20.0, seed=7)
+    tracemalloc.start()
+    try:
+        eq.mmse_baseline(rx, s, n_taps, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n_sym * n_taps * 16 / 4
 
 
 def test_adam_first_step_oracle():
