@@ -2,9 +2,10 @@
 hand-written reverse pass.
 
 The forward operations are the multi-channel convolution, ELU and the
-grouped softmax; ``backward`` carries the closed-form gradient of the
-variational loss w.r.t. the posteriors back through conv -> bias -> ELU ->
-strided conv -> bias -> grouped softmax to the weights and biases.
+grouped softmax.  ``backward`` starts at the logits: it carries the
+variational loss's gradient w.r.t. them (``equalize.vae_loss``, which also
+takes the softmax's part of the chain) back through bias -> strided conv ->
+ELU -> bias -> conv to the weights and biases.
 """
 
 from __future__ import annotations
@@ -47,29 +48,25 @@ def elu(a: np.ndarray) -> np.ndarray:
     return np.where(a > 0.0, a, np.expm1(a))
 
 
-def softmax_groups(logits: np.ndarray, size: int) -> np.ndarray:
-    """Softmax over each block of ``size`` consecutive channels, with
-    max-subtraction for stability.
-
-    logits is (G * size, n); the output is (G, n, size), each row on the
-    simplex.
-    """
-    z = logits.reshape(-1, size, logits.shape[1]).transpose(0, 2, 1)
-    e = np.exp(z - z.max(axis=2, keepdims=True))
-    return e / e.sum(axis=2, keepdims=True)
+def softmax_groups(z: np.ndarray):
+    """Softmax over the last axis of the logits z, with max-subtraction for
+    stability.  Returns (q, log q), log q the exact log-softmax
+    z - max - ln sum exp, finite where q underflows to zero."""
+    s = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(s)
+    norm = e.sum(axis=-1, keepdims=True)
+    return e / norm, s - np.log(norm)
 
 
-def backward(x, w1, a1, h, w2, stride: int, q, g_q):
+def backward(x, w1, a1, h, w2, stride: int, g_z):
     """Reverse pass of the CNN decoder.
 
-    The forward pass is a1 = conv1d_full(x, w1) + b1, h = elu(a1), and
-    q = softmax_groups(conv1d_full(h, w2, stride) + b2, size), each
-    convolution padded by k // 2.  Returns the gradients of sum(g_q * q)
+    The forward pass is a1 = conv1d_full(x, w1) + b1, h = elu(a1), and the
+    logits z = conv1d_full(h, w2, stride) + b2, each convolution padded by
+    k // 2.  Given g_z = dL/dz, shaped like z, returns the gradients of L
     w.r.t. (w1, b1, w2, b2).
     """
     k1, k2 = w1.shape[2], w2.shape[2]
-    inner = (g_q * q).sum(axis=2, keepdims=True)
-    g_z = (q * (g_q - inner)).transpose(0, 2, 1).reshape(-1, q.shape[1])  # logits
     g_w2 = conv1d_grad_w(g_z, h, k2, stride)
     g_h = conv1d_grad_x(g_z, w2, h.shape[1], stride)
     g_a1 = g_h * np.where(a1 > 0.0, 1.0, np.exp(a1))                     # ELU

@@ -290,7 +290,7 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
     record = {
         "run": run_idx,
         "frame_ser": curves,
-        "ma": np.stack([ev.moving_average(curves[p], cfg.ma_window)
+        "ma": np.stack([sigproc.window_means(curves[p], cfg.ma_window)
                         for p in range(cfg.n_pol)]),
         "wall_s": wall,
         "singularity_corr": res.singularity_corr,

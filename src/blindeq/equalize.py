@@ -356,13 +356,13 @@ class LossContext:
         self.r_win = window_view(r_pad, f, n_os).transpose(1, 0, 2)  # (n_sym, pol, F)
 
 
-def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
+def vae_loss(rx: np.ndarray, z: np.ndarray, h: np.ndarray, c: Constellation,
              ctx: LossContext):
     """Reduced negative ELBO for one batch, with its gradients in closed form.
 
     rx: (pol, N) complex samples, N = n_sym * n_os.
-    q: (pol, 2, n_sym, sqrt(M)) per-component posteriors, axis 1 (I, Q),
-        rows on the simplex.
+    z: (pol, 2, n_sym, sqrt(M)) logits of the per-component posteriors
+        q = softmax(z) over the levels, axis 1 (I, Q).
     h: (pol, pol, F) complex channel-model taps, convolution-oriented.
     ctx: the run's ``LossContext``, built for this (pol, N, F), n_os and
         edge trim: the samples excluded at each end of the distortion/KL
@@ -371,29 +371,36 @@ def vae_loss(rx: np.ndarray, q: np.ndarray, h: np.ndarray, c: Constellation,
 
     The loss is sum_p (A_p + N ln C_p): A_p is the KL divergence of q_p from
     the prior, and C_p the distortion (``_distortion``).  Returns
-    (LossBreakdown, dL/dq, dL/dh); the complex gradient is
-    dL/dRe h + j dL/dIm h.
+    (LossBreakdown, E[x] as (pol, n_sym) complex, dL/dz, dL/dh); the complex
+    gradient is dL/dRe h + j dL/dIm h.
     """
     pol = rx.shape[0]
     lev_sq = c.levels ** 2
+    q, log_q = ad.softmax_groups(z)
 
     # KL of the factorized posterior against the Maxwell-Boltzmann prior
-    q_eps = q + 1e-30
-    log_ratio = np.log(q_eps) - ctx.table[1]
+    log_ratio = log_q - ctx.table[1]
     a_kl = (q * log_ratio * ctx.sym_mask).sum(axis=(1, 2, 3))
-    g_q = (log_ratio + q / q_eps) * ctx.sym_mask
 
-    # E[x] and Var[x] per symbol, and back from them to q through
+    # E[x] and Var[x] per symbol, and back from them to each level through
     # Var[x] = E[x^2] - E[x]^2 per component
     ex = q @ c.levels                                     # (pol, 2, n_sym)
     var = (q @ lev_sq - ex ** 2).sum(axis=1)              # (pol, n_sym)
-    c_vals, g_mean, g_var, g_h = _distortion(rx, ex[:, 0] + 1j * ex[:, 1], var, h, ctx)
+    mean = ex[:, 0] + 1j * ex[:, 1]
+    c_vals, g_mean, g_var, g_h = _distortion(rx, mean, var, h, ctx)
     g_comp = g_mean.view(np.float64).reshape(pol, -1, 2).transpose(0, 2, 1)
     g_ex = g_comp - 2.0 * ex * g_var[:, None]
-    g_lev = g_ex[..., None] * c.levels
-    g_lev += g_var[:, None, :, None] * lev_sq
-    g_q += g_lev
-    return _breakdown(a_kl, c_vals, ctx.n_eff), g_q, g_h
+    f = log_ratio * ctx.sym_mask                          # per level, less a constant per group
+    f += g_ex[..., None] * c.levels
+    f += g_var[:, None, :, None] * lev_sq
+
+    # through the softmax: dL/dz = q (f - E_q[f]).  A group's entries sum to
+    # zero, so the entry of a mode with q > 1/2 (one per group at most, so a
+    # tie takes no correction), the small difference of two large numbers as
+    # q nears one-hot, is set to minus the sum of the others
+    g_z = q * (f - (q * f).sum(axis=-1, keepdims=True))
+    np.subtract(g_z, g_z.sum(axis=-1, keepdims=True), out=g_z, where=q > 0.5)
+    return _breakdown(a_kl, c_vals, ctx.n_eff), mean, g_z, g_h
 
 
 def _distortion(rx: np.ndarray, mean: np.ndarray, var: np.ndarray, h: np.ndarray,
@@ -574,12 +581,12 @@ class VaeNnState:
 
     Layer 1: conv (kernel k1, same padding) + ELU over 2*pol real input
     channels (re, im per pol); layer 2: conv (kernel k2, stride n_os) to
-    pol * 2 * sqrt(M) output channels, with a softmax over each sqrt(M)
-    group.  Each layer is one weight array, (C_out, C_in, k), and one bias,
-    (C_out, 1).  The channel model is the same butterfly FIR bank as for the
-    linear decoder.  All five are views of the one float buffer ``params``
-    that Adam steps, and ``vae_nn_grads`` writes their gradients into the
-    matching views of ``grad``.
+    pol * 2 * sqrt(M) output channels, the logits of ``vae_loss``'s softmax
+    over each sqrt(M) group.  Each layer is one weight array, (C_out, C_in,
+    k), and one bias, (C_out, 1).  The channel model is the same butterfly
+    FIR bank as for the linear decoder.  All five are views of the one float
+    buffer ``params`` that Adam steps, and ``vae_nn_grads`` writes their
+    gradients into the matching views of ``grad``.
     """
 
     def __init__(self, n_pol: int, n_os: int, m: int, k1: int, k2: int,
@@ -606,51 +613,44 @@ class VaeNnState:
 
 
 def vae_nn_forward(rx: np.ndarray, state: VaeNnState):
-    """The CNN decoder's posteriors for rx, (pol, n) complex.
+    """The CNN decoder's logits for rx, (pol, n) complex.
 
-    Returns q, (pol * 2, n_sym, sqrt(M)): the (I, Q) components of each
-    pol, and the layer values (x, a1, h) that ``ad.backward`` reads.
+    Returns z, (pol, 2, n_sym, sqrt(M)), the (I, Q) components' logits of
+    each pol in ``vae_loss``'s layout, and the layer values (x, a1, h) that
+    ``ad.backward`` reads.
     """
     x = np.stack([rx.real, rx.imag], axis=1).reshape(-1, rx.shape[1])
     a1 = ad.conv1d_full(x, state.w1) + state.b1
     h = ad.elu(a1)
     logits = ad.conv1d_full(h, state.w2, state.n_os) + state.b2
-    return ad.softmax_groups(logits, state.n_levels), (x, a1, h)
+    return logits.reshape(state.n_pol, 2, state.n_levels, -1).transpose(0, 1, 3, 2), (x, a1, h)
 
 
 def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
                  ctx: LossContext):
     """The batch loss of the CNN decoder and its gradients.
 
-    The closed-form dL/dq goes back through the decoder in one
+    ``vae_loss``'s dL/dz goes back through the decoder in one
     ``ad.backward`` call; ``ctx`` is passed on to ``vae_loss``.  The
-    gradients go to ``state.grad``; returns (q, LossBreakdown).
+    gradients go to ``state.grad``; returns (E_Q[x] per pol, LossBreakdown).
     """
-    q_cnn, (x, a1, h) = vae_nn_forward(rx_batch, state)
-    q = q_cnn.reshape(state.n_pol, 2, -1, state.n_levels)
-    bd, g_q, g_ch = vae_loss(rx_batch, q, state.ch, c, ctx)
-    g_net = ad.backward(x, state.w1, a1, h, state.w2, state.n_os, q_cnn,
-                        g_q.reshape(q_cnn.shape))
+    z, (x, a1, h) = vae_nn_forward(rx_batch, state)
+    bd, mean, g_z, g_ch = vae_loss(rx_batch, z, state.ch, c, ctx)
+    g_net = ad.backward(x, state.w1, a1, h, state.w2, state.n_os,
+                        g_z.transpose(0, 1, 3, 2).reshape(-1, z.shape[2]))
     for g, out in zip(g_net, state.g_net):
         out[...] = g
     state.g_ch[...] = g_ch
-    return q, bd
+    return mean, bd
 
 
 def vae_nn_step(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
                 lr: float, ctx: LossContext):
     """One CNN-decoder mini-batch at learning rate ``lr``; emits the batch's
     soft symbols E_Q[x] per pol."""
-    q, bd = vae_nn_grads(state, rx_batch, c, ctx)
+    mean, bd = vae_nn_grads(state, rx_batch, c, ctx)
     _update(state, bd, lr)
-    return _soft_symbols(q, c), bd
-
-
-def _soft_symbols(q: np.ndarray, c: Constellation) -> np.ndarray:
-    """E_Q[x] per pol from (pol, 2, n_sym, sqrt(M)) or (pol * 2, n_sym,
-    sqrt(M)) posteriors."""
-    ex = (q @ c.levels).reshape(-1, 2, q.shape[-2])
-    return ex[:, 0] + 1j * ex[:, 1]
+    return mean, bd
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +709,9 @@ def run_vae(rx: np.ndarray, c: Constellation, state, n_b: int, n_flex: int,
         out[:, t:] = _filter_windows(state.eq, win[t:n_sym])
     elif t < n_sym:
         lo = max(n_sym - n_b, 0)
-        q, _ = vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state)
-        out[:, t:] = _soft_symbols(q, c)[:, t - lo:]
+        z, _ = vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state)
+        ex = ad.softmax_groups(z)[0] @ c.levels
+        out[:, t:] = (ex[:, 0] + 1j * ex[:, 1])[:, t - lo:]
     corr = (_singularity_correlation(state.eq)
             if is_le and state.n_pol == 2 else 0.0)
     return EqualizerResult(out=out, sigma_traj=np.array(traj),

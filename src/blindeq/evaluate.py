@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .modem import Constellation, map_decide, symbol_indices
-from .sigproc import window_means
 
 # the blind receivers leave a phase ambiguity of multiples of pi/4 (pi/2 from
 # the constellation symmetry, pi/4 from the fourth-power CPE convention) plus
@@ -98,11 +97,6 @@ def resolve_pol_pairing(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
                                          sigma_sq).ser for p, q in enumerate(perm))
              for perm in ((0, 1), (1, 0))}
     return min(costs, key=costs.get)
-
-
-def moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    """Trailing-window mean over frame-wise values, length n - window + 1."""
-    return window_means(x, window)
 
 
 def frame_ser_curve(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,

@@ -74,8 +74,8 @@ def _conv_instance(x, w, stride, rng: np.random.Generator):
 
 
 def _cnn_instance(rng: np.random.Generator, n_pol: int, n_os: int, k2: int):
-    """The CNN decoder's forward pass and ad.backward over its weights and
-    biases, with nonzero biases so ELU sees both signs."""
+    """The CNN decoder's forward pass to the logits and ad.backward over its
+    weights and biases, with nonzero biases so ELU sees both signs."""
     state = eq.VaeNnState(n_pol, n_os, 16, k1=5, k2=k2, f_ch=3, rng=rng, hidden=3)
     state.b1[:] = rng.standard_normal(state.b1.shape)
     state.b2[:] = rng.standard_normal(state.b2.shape)
@@ -83,8 +83,9 @@ def _cnn_instance(rng: np.random.Generator, n_pol: int, n_os: int, k2: int):
     rx = rng.standard_normal((n_pol, n)) + 1j * rng.standard_normal((n_pol, n))
 
     def backward(g):
-        q, (x, a1, h) = eq.vae_nn_forward(rx, state)
-        return ad.backward(x, state.w1, a1, h, state.w2, state.n_os, q, g)
+        z, (x, a1, h) = eq.vae_nn_forward(rx, state)
+        g_z = g.transpose(0, 1, 3, 2).reshape(-1, z.shape[2])
+        return ad.backward(x, state.w1, a1, h, state.w2, state.n_os, g_z)
 
     return _seeded_instance([state.w1, state.b1, state.w2, state.b2],
                             lambda: eq.vae_nn_forward(rx, state)[0], backward, rng)
@@ -93,7 +94,7 @@ def _cnn_instance(rng: np.random.Generator, n_pol: int, n_os: int, k2: int):
 def primitive_cases(rng: np.random.Generator):
     """(name, (params, loss, grads)) pairs covering the convolution's two
     gradients (odd kernels, padded by k // 2) and the CNN's whole reverse
-    pass (biases, ELU and the grouped softmax included)."""
+    pass from its logits (biases and ELU included)."""
     sig = rng.standard_normal((3, 9))
     ker = rng.standard_normal((2, 3, 3))
     ker5 = rng.standard_normal((4, 3, 5))
@@ -198,8 +199,7 @@ def tiny_nn_instance(rng: np.random.Generator, n_pol: int = 1, n_os: int = 2):
     ctx = eq.LossContext(n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2, c)
 
     def loss():
-        q = eq.vae_nn_forward(rx, state)[0].reshape(n_pol, 2, n_b, -1)
-        return eq.vae_loss(rx, q, state.ch, c, ctx)[0].total
+        return eq.vae_loss(rx, eq.vae_nn_forward(rx, state)[0], state.ch, c, ctx)[0].total
 
     def grads():
         eq.vae_nn_grads(state, rx, c, ctx)
@@ -239,21 +239,20 @@ def soft_demap(x_hat: np.ndarray, c: modem.Constellation, sigma_sq: float,
 
 
 def vae_le_grads_softmax(state, win, rx_batch, c, ctx):
-    """equalize.vae_le_grads through the posteriors: q from ``soft_demap``,
-    dL/dq from ``equalize.vae_loss``, back through the softmax and its
-    logits -(x - a)^2 / (2 s2), then through x_hat = taps x windows.
-    Returns (x_hat, LossBreakdown, dL/d equalizer taps, dL/d channel taps)."""
+    """equalize.vae_le_grads through the posteriors: the demapper's logits
+    -(x - a)^2 / (2 s2) (+ log p(a) when matched), dL/d logits from
+    ``equalize.vae_loss``, then back through the logits and x_hat = taps x
+    windows.  Returns (x_hat, LossBreakdown, dL/d equalizer taps, dL/d
+    channel taps)."""
     wflat = win.reshape(win.shape[0], -1)
     x_hat = eq._filter_windows(state.eq, wflat)
     s2 = 0.5 * state.sigma_sq
-    q = soft_demap(x_hat, c, s2, state.matched_demapper).transpose(0, 2, 1, 3)
-    bd, g_q, g_ch = eq.vae_loss(rx_batch, q, state.ch, c, ctx)
-    # the softmax's backward pass, q_a (g_a - sum_b q_b g_b), summed in pairs
-    # as q_a sum_b q_b (g_a - g_b), so that where q is nearly one-hot the
-    # mode's term is not the small difference of two large ones
-    g_logit = q * ((g_q[..., :, None] - g_q[..., None, :]) @ q[..., None])[..., 0]
     comps = np.stack([x_hat.real, x_hat.imag], axis=1)           # (pol, 2, n_sym)
-    g_comp = (g_logit * (c.levels - comps[..., None])).sum(axis=-1) / s2
+    z = -(comps[..., None] - c.levels) ** 2 / (2.0 * s2)
+    if state.matched_demapper:
+        z += np.log(c.prior)
+    bd, _, g_z, g_ch = eq.vae_loss(rx_batch, z, state.ch, c, ctx)
+    g_comp = (g_z * (c.levels - comps[..., None])).sum(axis=-1) / s2
     g_eq = ((g_comp[:, 0] + 1j * g_comp[:, 1]) @ np.conj(wflat)).reshape(state.eq.shape)
     return x_hat, bd, g_eq, g_ch
 

@@ -43,12 +43,13 @@ def test_conv1d_full_matches_numpy():
 
 def test_softmax_rows_on_simplex():
     rng = np.random.default_rng(0)
-    logits = rng.standard_normal((6, 7))
-    out = ad.softmax_groups(logits, 3)
-    assert out.shape == (2, 7, 3)
+    logits = rng.standard_normal((2, 7, 3))
+    out, log_out = ad.softmax_groups(logits)
+    assert out.shape == log_out.shape == (2, 7, 3)
     assert np.allclose(out.sum(axis=2), 1.0)
     assert np.all(out > 0)
-    # group g holds channels 3g..3g+2, and each time step is one row
-    e = np.exp(logits[3:6, 4])
+    # each row of the last axis is one group
+    e = np.exp(logits[1, 4])
     assert np.allclose(out[1, 4], e / e.sum())
+    assert np.allclose(log_out, np.log(out))
 

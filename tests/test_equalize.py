@@ -4,6 +4,7 @@ baseline, Adam, and the variational loss."""
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -339,16 +340,104 @@ def test_vae_loss_one_hot_oracle():
     s = modem.sample_symbols(c, n, rng)
     y = s + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     i_idx, q_idx = modem.symbol_indices(c, s)
+    # logits 0 at the true level and -1e3 elsewhere: q is one-hot in floats
     eye = np.eye(c.n_levels)
-    q = np.stack([eye[i_idx], eye[q_idx]])[None]
+    z = -1e3 * (1.0 - np.stack([eye[i_idx], eye[q_idx]])[None])
     h = np.array([[[0.0, 1.0, 0.0]]], dtype=complex)
-    bd, _, _ = eq.vae_loss(y[None, :], q, h, c, eq.LossContext(1, n, 3, 1, 0, c))
+    bd, _, _, _ = eq.vae_loss(y[None, :], z, h, c, eq.LossContext(1, n, 3, 1, 0, c))
     c_ref = float(np.sum(np.abs(y - s) ** 2))
     assert abs(bd.c_dist[0] - c_ref) < 1e-10
     kl_ref = -float(np.sum(np.log(c.prior[i_idx])) + np.sum(np.log(c.prior[q_idx])))
     assert abs(bd.a_kl - kl_ref) < 1e-9
     assert abs(bd.total - (bd.a_kl + n * np.log(bd.c_dist[0]))) < 1e-9
     assert abs(bd.sigma_sq - c_ref / n) < 1e-12
+
+
+def test_vae_loss_logit_gradient_matches_mpmath():
+    # dL/dz against a 50-digit derivative of the loss where q is nearly
+    # one-hot: logits in each group near [0, -23, -30, -35], so that q holds
+    # entries of ~1e-10 to ~1e-15, and one group a tie, [0, 0, -30, -35].
+    # Each entry, the mode's included, must hold to 1e-12 of itself
+    rng = np.random.default_rng(19)
+    c = modem.build_constellation(16, 0.05)
+    n_sym, n_os = 4, 2
+    n = n_sym * n_os
+    z = np.array([0.0, -23.0, -30.0, -35.0])[rng.permuted(np.tile(np.arange(4), (2 * n_sym, 1)), axis=1)]
+    z = (z + 0.5 * rng.standard_normal(z.shape)).reshape(1, 2, n_sym, 4)
+    z[0, 1, 2] = [0.0, 0.0, -30.0, -35.0]
+    rx = sigproc.upsample_zero_insert(modem.sample_symbols(c, n_sym, rng), n_os)
+    rx = (rx + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))[None]
+    h = np.array([[[0.98 + 0.05j]]])                    # a Dirac-like 1-tap model
+    _, _, g_z, _ = eq.vae_loss(rx, z, h, c, eq.LossContext(1, n, 1, n_os, 0, c))
+
+    with mp.workdps(50):
+        lev = [mp.mpf(v) for v in c.levels]
+        log_p = [mp.log(mp.mpf(v)) for v in c.prior]
+        y = [mp.mpc(complex(v)) for v in rx[0]]
+        hh = mp.mpc(complex(h[0, 0, 0]))
+
+        def loss(zz):
+            # sum_k KL(q_k | p) + N ln C, C = sum_n |y - h E[x]|^2 + |h|^2 sum_k Var[x_k]
+            kl, mean, var = mp.mpf(0), [mp.mpc(0)] * n, mp.mpf(0)
+            for comp, unit in ((0, 1), (1, 1j)):
+                for k in range(n_sym):
+                    row = zz[comp][k]
+                    lse = mp.log(mp.fsum(mp.exp(v) for v in row))
+                    q = [mp.exp(v - lse) for v in row]
+                    kl += mp.fsum(qa * (v - lse - lp) for qa, v, lp in zip(q, row, log_p))
+                    m1 = mp.fsum(qa * a for qa, a in zip(q, lev))
+                    var += mp.fsum(qa * (a - m1) ** 2 for qa, a in zip(q, lev))
+                    mean[k * n_os] += unit * m1
+            dist = mp.fsum(abs(yn - hh * mn) ** 2 for yn, mn in zip(y, mean)) + abs(hh) ** 2 * var
+            return kl + n * mp.log(dist)
+
+        zz = [[[mp.mpf(v) for v in row] for row in comp] for comp in z[0]]
+        for comp, k, a in np.ndindex(2, n_sym, 4):
+            def along(t, comp=comp, k=k, a=a):
+                moved = [[list(row) for row in rows] for rows in zz]
+                moved[comp][k][a] = t
+                return loss(moved)
+            ref = mp.diff(along, zz[comp][k][a])
+            err = abs(mp.mpf(g_z[0, comp, k, a]) - ref) / abs(ref)
+            assert err <= 1e-12, f"entry {(comp, k, a)}: {float(err):.2e} of {float(ref):.3e}"
+
+
+def test_vae_loss_two_pol_distortion_and_kl_enumerated():
+    # 2 pols, 4-QAM at 2 sps, a butterfly with cross taps, F = 3, edge trim 1
+    # and 3 symbols per pol: C_p is the expectation of sum_n |y_p - (h * x)_p|^2
+    # over the kept samples, under all 4^6 hypotheses weighted by the
+    # factorized q, and the KL that of the kept symbols' q from the prior
+    rng = np.random.default_rng(20)
+    c = modem.build_constellation(4, 0.0)
+    pol, n_sym, n_os, f, trim = 2, 3, 2, 3, 1
+    n = n_sym * n_os
+    rx = rng.standard_normal((pol, n)) + 1j * rng.standard_normal((pol, n))
+    h = rng.standard_normal((pol, pol, f)) + 1j * rng.standard_normal((pol, pol, f))
+    z = rng.standard_normal((pol, 2, n_sym, 2))
+    ctx = eq.LossContext(pol, n, f, n_os, trim, c)
+    bd, _, _, _ = eq.vae_loss(rx, z, h, c, ctx)
+
+    q = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+    kept = np.ones(n, dtype=bool)
+    kept[:trim] = kept[n - trim:] = False
+    kept_sym = kept[::n_os]
+    c_ref, kl_ref = np.zeros(pol), 0.0
+    # one hypothesis: a level index per (pol, component, symbol)
+    for idx in np.ndindex(*(2,) * (pol * 2 * n_sym)):
+        idx = np.array(idx).reshape(pol, 2, n_sym)
+        prob = np.take_along_axis(q, idx[..., None], axis=-1)[..., 0]
+        x = c.levels[idx[:, 0]] + 1j * c.levels[idx[:, 1]]          # (pol, n_sym)
+        up = np.zeros((pol, n + f - 1), dtype=complex)
+        up[:, f // 2: f // 2 + n: n_os] = x
+        # (h * x)[p, m] = sum_q,t h[p, q, t] x_up[q, m + F // 2 - t]
+        hx = np.array([[sum(h[p, s, t] * up[s, m + f - 1 - t] for s in range(pol) for t in range(f))
+                        for m in range(n)] for p in range(pol)])
+        weight = prob.prod()
+        c_ref += weight * (np.abs(rx - hx)[:, kept] ** 2).sum(axis=1)
+        surprisal = np.log(prob) - np.log(c.prior[idx])
+        kl_ref += weight * surprisal[:, :, kept_sym].sum()
+    assert np.allclose(bd.c_dist, c_ref, rtol=0, atol=1e-10)
+    assert abs(bd.a_kl - kl_ref) <= 1e-10
 
 
 @pytest.mark.parametrize("pol", [1, 2])
@@ -366,18 +455,16 @@ def test_vae_loss_context_reuse(pol, n_os, edge_trim):
     returned = []
     for _ in range(3):
         rx = rng.standard_normal((pol, n)) + 1j * rng.standard_normal((pol, n))
-        q = rng.random((pol, 2, n_sym, c.n_levels))
-        q /= q.sum(axis=-1, keepdims=True)
+        z = rng.standard_normal((pol, 2, n_sym, c.n_levels))
         h = rng.standard_normal((pol, pol, f)) + 1j * rng.standard_normal((pol, pol, f))
-        bd, g_q, g_h = eq.vae_loss(rx, q, h, c, ctx)
-        bd_fresh, g_q_fresh, g_h_fresh = eq.vae_loss(
-            rx, q, h, c, eq.LossContext(pol, n, f, n_os, edge_trim, c))
-        assert bd == bd_fresh
+        bd, mean, g_q, g_h = eq.vae_loss(rx, z, h, c, ctx)
+        bd_fresh, mean_fresh, g_q_fresh, g_h_fresh = eq.vae_loss(
+            rx, z, h, c, eq.LossContext(pol, n, f, n_os, edge_trim, c))
+        assert bd == bd_fresh and np.array_equal(mean, mean_fresh)
         assert np.array_equal(g_q, g_q_fresh) and np.array_equal(g_h, g_h_fresh)
         returned.append((g_q, g_h, g_q.copy(), g_h.copy()))
-        ex = q @ c.levels
         up = np.zeros((pol, n), dtype=complex)
-        up[:, ::n_os] = ex[:, 0] + 1j * ex[:, 1]
+        up[:, ::n_os] = mean
         assert np.array_equal(ctx.up_win, sigproc.windows(up, f, 1).transpose(1, 0, 2))
     for g_q, g_h, g_q_then, g_h_then in returned:
         assert np.array_equal(g_q, g_q_then) and np.array_equal(g_h, g_h_then)
@@ -410,8 +497,9 @@ _ORACLE_LINKS = [
 @pytest.mark.parametrize("link", _ORACLE_LINKS, ids=lambda l: "pol{}-os{}-{}qam-nu{}-{}-{}".format(
     l[0], l[1], l[2], l[3], "matched" if l[4] else "mismatched", "trim" if l[5] else "notrim"))
 def test_vae_le_grads_match_softmax_chain(link, sigma_sq):
-    # the moment form against the chain through q: the softmax, vae_loss's
-    # dL/dq and the logits' derivative, to 1e-12 of the whole gradient's norm.
+    # the moment form against the chain through the demapper's logits:
+    # vae_loss's dL/dz and the logits' derivative, to 1e-12 of the whole
+    # gradient's norm.
     # At small sigma^2 most posteriors are one-hot, where the chain's
     # equalizer gradient is exactly zero, and so must the moments' be:
     # centred moments are, raw ones are not
@@ -472,10 +560,10 @@ def test_vae_nn_one_buffer_is_adam_per_array():
     for _ in range(3):
         rx = rng.standard_normal((2, 60)) + 1j * rng.standard_normal((2, 60))
         out, _ = eq.vae_nn_step(a, rx, c, 1e-2, ctx)
-        q, bd = eq.vae_nn_grads(b, rx, c, ctx)
+        mean, bd = eq.vae_nn_grads(b, rx, c, ctx)
         ref.step([*b.g_net, b.g_ch.view(np.float64)], 1e-2)
         b.sigma_sq = bd.sigma_sq
-        assert np.array_equal(out, eq._soft_symbols(q, c))
+        assert np.array_equal(out, mean)
     assert a.sigma_sq == b.sigma_sq
     assert np.array_equal(a.params, b.params)
     assert np.array_equal(a.adam.m, np.concatenate([m.ravel() for m in ref.m]))
@@ -542,8 +630,9 @@ def test_run_vae_nn_covers_tail():
     # the 50-symbol tail is the decoder's E_Q[x] at the final weights over
     # the stream's last 350 symbols
     rxn = eq._unit_power(rx[None, :]) / np.sqrt(2)
-    q, _ = eq.vae_nn_forward(rxn[:, 100:], state)
-    tail = q[0] @ c.levels + 1j * (q[1] @ c.levels)
+    z, _ = eq.vae_nn_forward(rxn[:, 100:], state)
+    ex = eq.ad.softmax_groups(z)[0] @ c.levels
+    tail = ex[0, 0] + 1j * ex[0, 1]
     assert np.array_equal(res.out[0, 350:], tail[300:])
 
 
@@ -571,7 +660,8 @@ def test_vae_nn_forward_matches_convolve_loop(pol, n_os, k2):
     state.b2[:] = rng.standard_normal(state.b2.shape)
     n = 40 * n_os
     rx = rng.standard_normal((pol, n)) + 1j * rng.standard_normal((pol, n))
-    q = eq.vae_nn_forward(rx, state)[0].reshape(pol, 2, 40, 4)
+    q = eq.ad.softmax_groups(eq.vae_nn_forward(rx, state)[0])[0]
+    assert q.shape == (pol, 2, 40, 4)
     assert np.abs(q - vae_nn_forward_loop(rx, state)).max() <= 1e-12
 
 

@@ -13,13 +13,6 @@ from blindeq.errors import ConfigError
 from helpers import candidate_shifts_full, qam_awgn_ser, resolve_ambiguity_exhaustive
 
 
-def test_moving_average_oracle():
-    x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert np.allclose(ev.moving_average(x, 2), [1.5, 2.5, 3.5, 4.5])
-    assert np.allclose(ev.moving_average(x, 1), x)
-    assert np.allclose(ev.moving_average(x, 5), [3.0])
-
-
 def test_aggregate_runs():
     curves = np.array([
         [0.5, 0.2, 0.1],    # success, min 0.1

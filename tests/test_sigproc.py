@@ -69,10 +69,18 @@ def test_convolve_same_identity_and_length():
     assert sigproc.convolve_same(x, taps).shape == x.shape
 
 
-@pytest.mark.parametrize("window", [1, 2, 7, 400])
+# hand-computed means of 1, 2, 3, 4, 5, by window
+_WINDOW_MEANS_HAND = {1: [1.0, 2.0, 3.0, 4.0, 5.0], 2: [1.5, 2.5, 3.5, 4.5], 5: [3.0]}
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, 7, 400])
 def test_window_means_match_convolution(window):
     # the cumulative-sum means against a window-tap convolution, on real
-    # and complex inputs, up to a window as long as the input
+    # and complex inputs, up to a window as long as the input, and against
+    # hand values
+    if window in _WINDOW_MEANS_HAND:
+        assert np.allclose(sigproc.window_means(np.arange(1.0, 6.0), window),
+                           _WINDOW_MEANS_HAND[window])
     rng = np.random.default_rng(window)
     n = 400
     for x in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
