@@ -81,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel worker processes (default: BLINDEQ_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel worker processes (default: 1)")
 
 
 def main(argv=None) -> int:

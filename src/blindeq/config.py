@@ -327,17 +327,13 @@ def _run_star(args):
     return run_single(*args)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str,
-                   workers: int | None = None) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Run all sweep points and runs; write raw/summary CSVs and a manifest.
 
     Returns the summary as a list of dicts (also written to summary.csv).
     All randomness derives from cfg.seed, the sweep index, and the run
     index, so outputs are byte-identical across repeats and worker counts.
     """
-    if workers is None:
-        env = os.environ.get("BLINDEQ_WORKERS", "1")
-        workers = int(env) if env.isdecimal() else env
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"the worker count must be an integer >= 1, got {workers!r}")
     os.makedirs(out_dir, exist_ok=True)

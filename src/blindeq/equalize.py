@@ -4,7 +4,8 @@ CMA family (symbol-wise, batch, flex) with Viterbi-Viterbi carrier phase
 estimation, the genie-aided linear MMSE baseline, and the variational
 equalizers: a butterfly FIR decoder (linear equalizer) or a two-layer CNN
 decoder, both trained jointly with a butterfly FIR channel model by
-minimizing the negative evidence lower bound.
+minimizing the negative evidence lower bound.  The loss owns the posteriors'
+softmax; the CNN's layer operations and reverse pass are in ``autodiff``.
 """
 
 from __future__ import annotations
@@ -222,9 +223,10 @@ def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int, sps: int):
     np.roll(tx, d), and the first delay of least residual wins.  Returns
     (taps, equalized output aligned to tx, delay).
 
-    The normal equations, the residuals and the output are taken in passes
-    over blocks of _MMSE_BLOCK window rows, so memory stays bounded by a
-    block, not by the (n_sym, n_taps) window matrix.
+    The normal equations and the output are taken in passes over blocks of
+    _MMSE_BLOCK window rows, so memory stays bounded by a block, not by the
+    (n_sym, n_taps) window matrix.  Each delay's residual follows from its
+    normal equations, with no pass of its own.
     """
     n_sym = min(tx.shape[0], rx.shape[0] // sps)
     # an even n_taps gives windows one window more than there are symbols
@@ -234,26 +236,22 @@ def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int, sps: int):
     blocks = [slice(lo, min(lo + _MMSE_BLOCK, n_sym))
               for lo in range(0, n_sym, _MMSE_BLOCK)]
 
-    def block(s):
-        # the block's windows, copied, and its targets: column k of the
-        # targets is np.roll(tx, delays[k])[s]
-        rows = np.arange(s.start, s.stop)
-        return np.ascontiguousarray(x[s]), tx[(rows[:, None] - delays) % n_sym]
-
     gram = _MMSE_RIDGE * np.eye(n_taps, dtype=np.complex128)
     xh_t = np.zeros((n_taps, delays.size), dtype=np.complex128)
     for s in blocks:
-        xb, tb = block(s)
+        # the block's windows, copied, and its targets: column k of the
+        # targets is np.roll(tx, delays[k])[s]
+        xb = np.ascontiguousarray(x[s])
         xbh = xb.conj().T
+        rows = np.arange(s.start, s.stop)
         gram += xbh @ xb
-        xh_t += xbh @ tb
+        xh_t += xbh @ tx[(rows[:, None] - delays) % n_sym]
     w_all = np.linalg.solve(gram, xh_t)
-    resid = np.zeros(delays.size)
-    for s in blocks:
-        xb, tb = block(s)
-        r = xb @ w_all - tb
-        resid += (r.real ** 2 + r.imag ** 2).sum(axis=0)
-    k = int(np.argmin(resid))  # the first of equal residuals
+    # at the solution, delay d's residual is |tx|^2 - Re(w_d^H X^H t_d)
+    # - ridge |w_d|^2, and |tx|^2 is the same for every delay
+    fit = ((np.conj(xh_t) * w_all).real.sum(axis=0)
+           + _MMSE_RIDGE * (np.abs(w_all) ** 2).sum(axis=0))
+    k = int(np.argmax(fit))  # the first of equal residuals
     w, d = w_all[:, k], int(delays[k])
     out = np.empty(n_sym, dtype=np.complex128)
     for s in blocks:
@@ -356,13 +354,23 @@ class LossContext:
         self.r_win = window_view(r_pad, f, n_os).transpose(1, 0, 2)  # (n_sym, pol, F)
 
 
+def softmax_groups(z: np.ndarray):
+    """Softmax over the level axis, -2, of the logits z, with
+    max-subtraction for stability.  Returns (q, log q), log q the exact
+    log-softmax z - max - ln sum exp, finite where q underflows to zero."""
+    s = z - z.max(axis=-2, keepdims=True)
+    e = np.exp(s)
+    norm = e.sum(axis=-2, keepdims=True)
+    return e / norm, s - np.log(norm)
+
+
 def vae_loss(rx: np.ndarray, z: np.ndarray, h: np.ndarray, c: Constellation,
              ctx: LossContext):
     """Reduced negative ELBO for one batch, with its gradients in closed form.
 
     rx: (pol, N) complex samples, N = n_sym * n_os.
-    z: (pol, 2, n_sym, sqrt(M)) logits of the per-component posteriors
-        q = softmax(z) over the levels, axis 1 (I, Q).
+    z: (pol, 2, sqrt(M), n_sym) logits of the per-component posteriors
+        q = softmax(z) over the levels, axis -2, in the CNN's layout.
     h: (pol, pol, F) complex channel-model taps, convolution-oriented.
     ctx: the run's ``LossContext``, built for this (pol, N, F), n_os and
         edge trim: the samples excluded at each end of the distortion/KL
@@ -376,30 +384,30 @@ def vae_loss(rx: np.ndarray, z: np.ndarray, h: np.ndarray, c: Constellation,
     """
     pol = rx.shape[0]
     lev_sq = c.levels ** 2
-    q, log_q = ad.softmax_groups(z)
+    q, log_q = softmax_groups(z)
 
     # KL of the factorized posterior against the Maxwell-Boltzmann prior
-    log_ratio = log_q - ctx.table[1]
-    a_kl = (q * log_ratio * ctx.sym_mask).sum(axis=(1, 2, 3))
+    log_ratio = log_q - ctx.table[1][:, None]
+    a_kl = (q * log_ratio * ctx.sym_mask.T).sum(axis=(1, 2, 3))
 
     # E[x] and Var[x] per symbol, and back from them to each level through
     # Var[x] = E[x^2] - E[x]^2 per component
-    ex = q @ c.levels                                     # (pol, 2, n_sym)
-    var = (q @ lev_sq - ex ** 2).sum(axis=1)              # (pol, n_sym)
+    ex = c.levels @ q                                     # (pol, 2, n_sym)
+    var = (lev_sq @ q - ex ** 2).sum(axis=1)              # (pol, n_sym)
     mean = ex[:, 0] + 1j * ex[:, 1]
     c_vals, g_mean, g_var, g_h = _distortion(rx, mean, var, h, ctx)
     g_comp = g_mean.view(np.float64).reshape(pol, -1, 2).transpose(0, 2, 1)
     g_ex = g_comp - 2.0 * ex * g_var[:, None]
-    f = log_ratio * ctx.sym_mask                          # per level, less a constant per group
-    f += g_ex[..., None] * c.levels
-    f += g_var[:, None, :, None] * lev_sq
+    f = log_ratio * ctx.sym_mask.T                        # per level, less a constant per group
+    f += g_ex[:, :, None] * c.levels[:, None]
+    f += g_var[:, None, None] * lev_sq[:, None]
 
     # through the softmax: dL/dz = q (f - E_q[f]).  A group's entries sum to
     # zero, so the entry of a mode with q > 1/2 (one per group at most, so a
     # tie takes no correction), the small difference of two large numbers as
     # q nears one-hot, is set to minus the sum of the others
-    g_z = q * (f - (q * f).sum(axis=-1, keepdims=True))
-    np.subtract(g_z, g_z.sum(axis=-1, keepdims=True), out=g_z, where=q > 0.5)
+    g_z = q * (f - (q * f).sum(axis=-2, keepdims=True))
+    np.subtract(g_z, g_z.sum(axis=-2, keepdims=True), out=g_z, where=q > 0.5)
     return _breakdown(a_kl, c_vals, ctx.n_eff), mean, g_z, g_h
 
 
@@ -615,29 +623,30 @@ class VaeNnState:
 def vae_nn_forward(rx: np.ndarray, state: VaeNnState):
     """The CNN decoder's logits for rx, (pol, n) complex.
 
-    Returns z, (pol, 2, n_sym, sqrt(M)), the (I, Q) components' logits of
-    each pol in ``vae_loss``'s layout, and the layer values (x, a1, h) that
-    ``ad.backward`` reads.
+    Returns z, (pol, 2, sqrt(M), n_sym), the (I, Q) components' logits of
+    each pol, and (wx, a1, wh) for ``ad.backward``: each layer's input
+    windows, built once for its convolution and its weight gradient.
     """
     x = np.stack([rx.real, rx.imag], axis=1).reshape(-1, rx.shape[1])
-    a1 = ad.conv1d_full(x, state.w1) + state.b1
-    h = ad.elu(a1)
-    logits = ad.conv1d_full(h, state.w2, state.n_os) + state.b2
-    return logits.reshape(state.n_pol, 2, state.n_levels, -1).transpose(0, 1, 3, 2), (x, a1, h)
+    wx = windows(x, state.w1.shape[2], 1)
+    a1 = ad.conv1d_full(wx, state.w1) + state.b1
+    wh = windows(ad.elu(a1), state.w2.shape[2], state.n_os)
+    logits = ad.conv1d_full(wh, state.w2) + state.b2
+    return logits.reshape(state.n_pol, 2, state.n_levels, -1), (wx, a1, wh)
 
 
 def vae_nn_grads(state: VaeNnState, rx_batch: np.ndarray, c: Constellation,
                  ctx: LossContext):
     """The batch loss of the CNN decoder and its gradients.
 
-    ``vae_loss``'s dL/dz goes back through the decoder in one
-    ``ad.backward`` call; ``ctx`` is passed on to ``vae_loss``.  The
+    ``vae_loss``'s dL/dz, in the CNN's layout, goes back through the decoder
+    in one ``ad.backward`` call; ``ctx`` is passed on to ``vae_loss``.  The
     gradients go to ``state.grad``; returns (E_Q[x] per pol, LossBreakdown).
     """
-    z, (x, a1, h) = vae_nn_forward(rx_batch, state)
+    z, (wx, a1, wh) = vae_nn_forward(rx_batch, state)
     bd, mean, g_z, g_ch = vae_loss(rx_batch, z, state.ch, c, ctx)
-    g_net = ad.backward(x, state.w1, a1, h, state.w2, state.n_os,
-                        g_z.transpose(0, 1, 3, 2).reshape(-1, z.shape[2]))
+    g_net = ad.backward(wx, state.w1, a1, wh, state.w2, state.n_os,
+                        g_z.reshape(-1, z.shape[3]))
     for g, out in zip(g_net, state.g_net):
         out[...] = g
     state.g_ch[...] = g_ch
@@ -710,7 +719,7 @@ def run_vae(rx: np.ndarray, c: Constellation, state, n_b: int, n_flex: int,
     elif t < n_sym:
         lo = max(n_sym - n_b, 0)
         z, _ = vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state)
-        ex = ad.softmax_groups(z)[0] @ c.levels
+        ex = c.levels @ softmax_groups(z)[0]
         out[:, t:] = (ex[:, 0] + 1j * ex[:, 1])[:, t - lo:]
     corr = (_singularity_correlation(state.eq)
             if is_le and state.n_pol == 2 else 0.0)

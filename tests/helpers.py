@@ -67,10 +67,12 @@ def _seeded_instance(params, forward, backward, rng: np.random.Generator):
 
 
 def _conv_instance(x, w, stride, rng: np.random.Generator):
+    def win():
+        return sigproc.windows(x, w.shape[2], stride)
     return _seeded_instance(
-        [x, w], lambda: ad.conv1d_full(x, w, stride),
+        [x, w], lambda: ad.conv1d_full(win(), w),
         lambda g: (ad.conv1d_grad_x(g, w, x.shape[1], stride),
-                   ad.conv1d_grad_w(g, x, w.shape[2], stride)), rng)
+                   ad.conv1d_grad_w(g, win())), rng)
 
 
 def _cnn_instance(rng: np.random.Generator, n_pol: int, n_os: int, k2: int):
@@ -83,9 +85,9 @@ def _cnn_instance(rng: np.random.Generator, n_pol: int, n_os: int, k2: int):
     rx = rng.standard_normal((n_pol, n)) + 1j * rng.standard_normal((n_pol, n))
 
     def backward(g):
-        z, (x, a1, h) = eq.vae_nn_forward(rx, state)
-        g_z = g.transpose(0, 1, 3, 2).reshape(-1, z.shape[2])
-        return ad.backward(x, state.w1, a1, h, state.w2, state.n_os, g_z)
+        z, (wx, a1, wh) = eq.vae_nn_forward(rx, state)
+        g_z = g.reshape(-1, z.shape[3])
+        return ad.backward(wx, state.w1, a1, wh, state.w2, state.n_os, g_z)
 
     return _seeded_instance([state.w1, state.b1, state.w2, state.b2],
                             lambda: eq.vae_nn_forward(rx, state)[0], backward, rng)
@@ -112,7 +114,7 @@ def primitive_cases(rng: np.random.Generator):
 # pair: the reference for equalize.vae_nn_forward
 
 def vae_nn_forward_loop(rx: np.ndarray, state) -> np.ndarray:
-    """Posteriors (pol, 2, n_sym, sqrt(M)) of the CNN decoder for rx."""
+    """Posteriors (pol, 2, sqrt(M), n_sym) of the CNN decoder for rx."""
     chans = [part for p in range(rx.shape[0]) for part in (rx[p].real, rx[p].imag)]
     w1, b1, w2, b2 = state.w1, state.b1, state.w2, state.b2
     p1, p2 = w1.shape[2] // 2, w2.shape[2] // 2
@@ -127,9 +129,9 @@ def vae_nn_forward_loop(rx: np.ndarray, state) -> np.ndarray:
         acc = sum(np.convolve(np.pad(h, p2), w2[o, i], mode="valid")[::state.n_os]
                   for i, h in enumerate(hidden))
         logits.append(acc + b2[o])
-    z = np.array(logits).reshape(state.n_pol, 2, state.n_levels, -1).transpose(0, 1, 3, 2)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    z = np.array(logits).reshape(state.n_pol, 2, state.n_levels, -1)
+    e = np.exp(z - z.max(axis=-2, keepdims=True))
+    return e / e.sum(axis=-2, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +249,13 @@ def vae_le_grads_softmax(state, win, rx_batch, c, ctx):
     wflat = win.reshape(win.shape[0], -1)
     x_hat = eq._filter_windows(state.eq, wflat)
     s2 = 0.5 * state.sigma_sq
-    comps = np.stack([x_hat.real, x_hat.imag], axis=1)           # (pol, 2, n_sym)
-    z = -(comps[..., None] - c.levels) ** 2 / (2.0 * s2)
+    comps = np.stack([x_hat.real, x_hat.imag], axis=1)[:, :, None]   # (pol, 2, 1, n_sym)
+    lev = c.levels[:, None]
+    z = -(comps - lev) ** 2 / (2.0 * s2)
     if state.matched_demapper:
-        z += np.log(c.prior)
+        z += np.log(c.prior)[:, None]
     bd, _, g_z, g_ch = eq.vae_loss(rx_batch, z, state.ch, c, ctx)
-    g_comp = (g_z * (c.levels - comps[..., None])).sum(axis=-1) / s2
+    g_comp = (g_z * (lev - comps)).sum(axis=-2) / s2
     g_eq = ((g_comp[:, 0] + 1j * g_comp[:, 1]) @ np.conj(wflat)).reshape(state.eq.shape)
     return x_hat, bd, g_eq, g_ch
 

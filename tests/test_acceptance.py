@@ -146,8 +146,8 @@ def _bruteforce_setup():
 
 
 def _loss_breakdown(y, h, q_re, q_im, c):
-    # the posteriors pass as their logits, log q
-    bd, _, _, _ = eq.vae_loss(y[None, :], np.log(np.stack([q_re, q_im]))[None],
+    # the posteriors pass as their logits, log q, levels before symbols
+    bd, _, _, _ = eq.vae_loss(y[None, :], np.log(np.stack([q_re.T, q_im.T]))[None],
                               h[None, None], c, eq.LossContext(1, len(y), len(h), 1, 0, c))
     return bd
 

@@ -3,6 +3,8 @@
 import numpy as np
 
 from blindeq import autodiff as ad
+from blindeq import equalize as eq
+from blindeq import sigproc
 from helpers import max_gradient_error, primitive_cases, rel_err
 
 
@@ -18,8 +20,8 @@ def test_conv1d_full_hand_oracle():
     # [DERIVED] by hand: the full conv of [1,0,0,3] with [1,2,3] is
     # [1,2,3,3,6,9]; centered (k // 2 = 1 dropped at each end) it is
     # [2,3,3,6], and stride 2 keeps indices 0 and 2
-    out = ad.conv1d_full(np.array([[1.0, 0.0, 0.0, 3.0]]), np.array([[[1.0, 2.0, 3.0]]]),
-                         stride=2)
+    out = ad.conv1d_full(sigproc.windows(np.array([[1.0, 0.0, 0.0, 3.0]]), 3, 2),
+                         np.array([[[1.0, 2.0, 3.0]]]))
     assert np.array_equal(out, [[2.0, 3.0]])
 
 
@@ -37,19 +39,19 @@ def test_conv1d_full_matches_numpy():
         w = rng.standard_normal((c_out, c_in, k))
         ref = np.array([sum(np.convolve(np.pad(s[i], pad), w[o, i], mode="valid")
                             for i in range(c_in))[::stride] for o in range(c_out)])
-        out = ad.conv1d_full(s, w, stride)
+        out = ad.conv1d_full(sigproc.windows(s, k, stride), w)
         assert rel_err(out, ref) < 1e-14
 
 
 def test_softmax_rows_on_simplex():
     rng = np.random.default_rng(0)
-    logits = rng.standard_normal((2, 7, 3))
-    out, log_out = ad.softmax_groups(logits)
-    assert out.shape == log_out.shape == (2, 7, 3)
-    assert np.allclose(out.sum(axis=2), 1.0)
+    logits = rng.standard_normal((2, 3, 7))
+    out, log_out = eq.softmax_groups(logits)
+    assert out.shape == log_out.shape == (2, 3, 7)
+    assert np.allclose(out.sum(axis=1), 1.0)
     assert np.all(out > 0)
-    # each row of the last axis is one group
-    e = np.exp(logits[1, 4])
-    assert np.allclose(out[1, 4], e / e.sum())
+    # each column of the level axis, -2, is one group
+    e = np.exp(logits[1, :, 4])
+    assert np.allclose(out[1, :, 4], e / e.sum())
     assert np.allclose(log_out, np.log(out))
 

@@ -342,7 +342,7 @@ def test_vae_loss_one_hot_oracle():
     i_idx, q_idx = modem.symbol_indices(c, s)
     # logits 0 at the true level and -1e3 elsewhere: q is one-hot in floats
     eye = np.eye(c.n_levels)
-    z = -1e3 * (1.0 - np.stack([eye[i_idx], eye[q_idx]])[None])
+    z = -1e3 * (1.0 - np.stack([eye[:, i_idx], eye[:, q_idx]])[None])
     h = np.array([[[0.0, 1.0, 0.0]]], dtype=complex)
     bd, _, _, _ = eq.vae_loss(y[None, :], z, h, c, eq.LossContext(1, n, 3, 1, 0, c))
     c_ref = float(np.sum(np.abs(y - s) ** 2))
@@ -368,7 +368,8 @@ def test_vae_loss_logit_gradient_matches_mpmath():
     rx = sigproc.upsample_zero_insert(modem.sample_symbols(c, n_sym, rng), n_os)
     rx = (rx + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))[None]
     h = np.array([[[0.98 + 0.05j]]])                    # a Dirac-like 1-tap model
-    _, _, g_z, _ = eq.vae_loss(rx, z, h, c, eq.LossContext(1, n, 1, n_os, 0, c))
+    _, _, g_z, _ = eq.vae_loss(rx, z.swapaxes(2, 3), h, c,
+                               eq.LossContext(1, n, 1, n_os, 0, c))
 
     with mp.workdps(50):
         lev = [mp.mpf(v) for v in c.levels]
@@ -398,7 +399,7 @@ def test_vae_loss_logit_gradient_matches_mpmath():
                 moved[comp][k][a] = t
                 return loss(moved)
             ref = mp.diff(along, zz[comp][k][a])
-            err = abs(mp.mpf(g_z[0, comp, k, a]) - ref) / abs(ref)
+            err = abs(mp.mpf(g_z[0, comp, a, k]) - ref) / abs(ref)
             assert err <= 1e-12, f"entry {(comp, k, a)}: {float(err):.2e} of {float(ref):.3e}"
 
 
@@ -415,7 +416,7 @@ def test_vae_loss_two_pol_distortion_and_kl_enumerated():
     h = rng.standard_normal((pol, pol, f)) + 1j * rng.standard_normal((pol, pol, f))
     z = rng.standard_normal((pol, 2, n_sym, 2))
     ctx = eq.LossContext(pol, n, f, n_os, trim, c)
-    bd, _, _, _ = eq.vae_loss(rx, z, h, c, ctx)
+    bd, _, _, _ = eq.vae_loss(rx, z.swapaxes(2, 3), h, c, ctx)
 
     q = np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
     kept = np.ones(n, dtype=bool)
@@ -455,7 +456,7 @@ def test_vae_loss_context_reuse(pol, n_os, edge_trim):
     returned = []
     for _ in range(3):
         rx = rng.standard_normal((pol, n)) + 1j * rng.standard_normal((pol, n))
-        z = rng.standard_normal((pol, 2, n_sym, c.n_levels))
+        z = rng.standard_normal((pol, 2, c.n_levels, n_sym))
         h = rng.standard_normal((pol, pol, f)) + 1j * rng.standard_normal((pol, pol, f))
         bd, mean, g_q, g_h = eq.vae_loss(rx, z, h, c, ctx)
         bd_fresh, mean_fresh, g_q_fresh, g_h_fresh = eq.vae_loss(
@@ -617,23 +618,24 @@ def test_run_vae_covers_tail():
     assert np.allclose(res.out, ref, rtol=0, atol=1e-12)
 
 
-def test_run_vae_nn_covers_tail():
+@pytest.mark.parametrize("pol", [1, 2])
+def test_run_vae_nn_covers_tail(pol):
     rng = np.random.default_rng(12)
     c = modem.build_constellation(4, 0.0)
-    s = modem.sample_symbols(c, 400, rng)
-    tx = sigproc.upsample_zero_insert(s, 2)
+    tx = np.stack([sigproc.upsample_zero_insert(modem.sample_symbols(c, 400, rng), 2)
+                   for _ in range(pol)])
     rx = ch.add_awgn(tx, ch.noise_sigma_sq(tx, 2, 18.0), rng)
-    state = eq.VaeNnState(1, 2, 4, k1=5, k2=3, f_ch=7, rng=rng, hidden=4)
-    res = eq.run_vae(rx[None, :], c, state, 350, 350, 1e-3, False, n_frame=10_000)
-    assert res.sigma_traj.shape == (1, 2)
+    state = eq.VaeNnState(pol, 2, 4, k1=5, k2=3, f_ch=7, rng=rng, hidden=4)
+    res = eq.run_vae(rx, c, state, 350, 350, 1e-3, False, n_frame=10_000)
+    assert res.out.shape == (pol, 400) and res.sigma_traj.shape == (1, 2)
     assert np.count_nonzero(res.out == 0) == 0
-    # the 50-symbol tail is the decoder's E_Q[x] at the final weights over
-    # the stream's last 350 symbols
-    rxn = eq._unit_power(rx[None, :]) / np.sqrt(2)
+    # the 50-symbol tail of each pol is the decoder's E_Q[x] at the final
+    # weights over the stream's last 350 symbols
+    rxn = eq._unit_power(rx) / np.sqrt(2)
     z, _ = eq.vae_nn_forward(rxn[:, 100:], state)
-    ex = eq.ad.softmax_groups(z)[0] @ c.levels
-    tail = ex[0, 0] + 1j * ex[0, 1]
-    assert np.array_equal(res.out[0, 350:], tail[300:])
+    ex = c.levels @ eq.softmax_groups(z)[0]
+    tail = ex[:, 0] + 1j * ex[:, 1]
+    assert np.array_equal(res.out[:, 350:], tail[:, 300:])
 
 
 def test_vae_nn_weights_match_per_kernel_draws():
@@ -660,27 +662,35 @@ def test_vae_nn_forward_matches_convolve_loop(pol, n_os, k2):
     state.b2[:] = rng.standard_normal(state.b2.shape)
     n = 40 * n_os
     rx = rng.standard_normal((pol, n)) + 1j * rng.standard_normal((pol, n))
-    q = eq.ad.softmax_groups(eq.vae_nn_forward(rx, state)[0])[0]
-    assert q.shape == (pol, 2, 40, 4)
+    q = eq.softmax_groups(eq.vae_nn_forward(rx, state)[0])[0]
+    assert q.shape == (pol, 2, 4, 40)
     assert np.abs(q - vae_nn_forward_loop(rx, state)).max() <= 1e-12
 
 
 def test_vae_nn_update_is_two_conv_nodes_and_five_adam_arrays(monkeypatch):
     # one update: two convolutions, one reverse pass, one Adam step over the
     # two weights, the two biases and the channel taps, all views of its one
-    # buffer
-    calls = {"conv1d_full": 0, "backward": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(eq.ad, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(eq.ad, name, counted)
+    # buffer, and each layer's input windows built once (counted through the
+    # names equalize and autodiff look up; the run's loss context is built
+    # before)
     c = modem.build_constellation(64, 0.0)
     rng = np.random.default_rng(0)
     state = eq.VaeNnState(2, 2, 64, k1=29, k2=3, f_ch=25, rng=rng)
     rx = rng.standard_normal((2, 700)) + 1j * rng.standard_normal((2, 700))
-    eq.vae_nn_step(state, rx, c, 1e-3, eq.LossContext(2, 700, 25, 2, 12, c))
-    assert calls == {"conv1d_full": 2, "backward": 1}
+    ctx = eq.LossContext(2, 700, 25, 2, 12, c)
+    calls = {"conv1d_full": 0, "backward": 0, "windows": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+    for name in ("conv1d_full", "backward"):
+        monkeypatch.setattr(eq.ad, name, counting(name, getattr(eq.ad, name)))
+    for mod in (eq, eq.ad):
+        monkeypatch.setattr(mod, "windows", counting("windows", sigproc.windows), raising=False)
+    eq.vae_nn_step(state, rx, c, 1e-3, ctx)
+    assert calls == {"conv1d_full": 2, "backward": 1, "windows": 2}
     arrays = (state.w1, state.b1, state.w2, state.b2, state.ch.view(np.float64))
     assert all(np.shares_memory(a, state.adam.params) for a in arrays)
     assert sum(a.size for a in arrays) == state.adam.params.size == state.grad.size
