@@ -2,6 +2,11 @@
 dispersive dual-polarization optical channel with optional frame-wise time
 variation of the HV rotation angle.
 
+The dual-polarization link is a rotation around a diagonal: per frequency
+bin H(f) = R^T diag(e cd, cd / e) R, with R the HV rotation (and the IQ
+phase) and the diagonal the PMD and dispersion phases.  It is applied in
+that factored form, R^T IFFT(diag FFT(R x)), on one (pol, sample) array.
+
 SNR convention: snr_db is Es/N0 per symbol with the constellation
 normalized to unit energy.  The injected complex noise variance per sample
 is sigma_w^2 = P_rx * n_os * 10^(-snr/10), with P_rx the measured mean
@@ -60,57 +65,42 @@ def awgn_isi_apply(tx: np.ndarray, n_os: int, h_sim: np.ndarray, snr_db: float,
     return out
 
 
-def dp_phases(f: np.ndarray, cfg) -> tuple[np.ndarray, np.ndarray]:
-    """The channel's frame-independent factors at the frequencies ``f`` (Hz):
-    the differential-group-delay phase e^{j pi tau f} and the
-    residual-dispersion phase e^{-j 2 pi^2 beta L f^2}.
+def dp_phases(f: np.ndarray, cfg) -> np.ndarray:
+    """The diagonal of the link in its rotated basis at the frequencies ``f``
+    (Hz): (2, n) rows e cd and cd / e, with e = e^{j pi tau f} the
+    differential-group-delay phase and cd = e^{-j 2 pi^2 beta L f^2} the
+    residual-dispersion phase.  It does not depend on the frame.
 
     Reads d_pmd, l_pmd, beta_cd and l_cd of ``cfg``, an ExperimentConfig.
     """
     tau = cfg.d_pmd * np.sqrt(cfg.l_pmd) * 1e-12  # differential group delay, s
     e = np.exp(1j * np.pi * tau * f)
     cd = np.exp(-2j * np.pi ** 2 * (cfg.beta_cd * cfg.l_cd * 1e-24) * f ** 2)
-    return e, cd
+    return np.array([e * cd, cd / e])
 
 
-def dp_channel_matrix(phases: tuple[np.ndarray, np.ndarray], cfg, gamma: float) -> np.ndarray:
-    """Frequency-domain 2x2 channel at HV angle ``gamma``: R^T diag(e, 1/e) R
-    times cd, with (e, cd) = ``phases``, the ``dp_phases`` of a frequency
-    grid.
-
-    Reads phi_iq of ``cfg``.  Returns shape (2, 2, n) for n frequencies,
-    unitary up to the global phases.
-    """
-    c, s = np.cos(gamma), np.sin(gamma)
-    phase = np.exp(-1j * cfg.phi_iq)
-    r = phase * np.array([[c, s], [-s, c]])
-    e, cd = phases
-    h = np.empty((2, 2, e.shape[0]), dtype=np.complex128)
-    # R^T diag(e, 1/e) R, expanded per frequency bin
-    h[0, 0] = r[0, 0] * r[0, 0] * e + r[1, 0] * r[1, 0] / e
-    h[0, 1] = r[0, 0] * r[0, 1] * e + r[1, 0] * r[1, 1] / e
-    h[1, 0] = r[0, 1] * r[0, 0] * e + r[1, 1] * r[1, 0] / e
-    h[1, 1] = r[0, 1] * r[0, 1] * e + r[1, 1] * r[1, 1] / e
-    return h * cd
-
-
-def dp_apply(tx_te: np.ndarray, tx_tm: np.ndarray, cfg, frame_index: int,
-             phases: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the frequency-domain channel, noiseless, to frame ``frame_index``
-    of samples at n_os sps, with ``phases`` the ``dp_phases`` of the
-    transform's frequency grid.  Reads the ExperimentConfig's n_frame,
-    symbol_rate, gamma_hv and dgamma_hv, and what ``dp_channel_matrix``
-    reads."""
+def dp_apply(tx: np.ndarray, cfg, frame_index: int, diag: np.ndarray) -> np.ndarray:
+    """Apply the channel, noiseless, to frame ``frame_index`` of the (2, n)
+    (pol, sample) array ``tx`` at n_os sps: y = R^T IFFT(diag FFT(R x)), with
+    ``diag`` the ``dp_phases`` of the transform's frequency grid and
+    R = e^{-j phi_IQ} [[cos g, sin g], [-sin g, cos g]] at the frame's HV
+    angle g.  phi_IQ enters through both R and R^T, so without
+    birefringence or dispersion the link is the scalar phase
+    e^{-2j phi_IQ}.  Reads the
+    ExperimentConfig's phi_iq, n_frame, symbol_rate, gamma_hv and
+    dgamma_hv."""
     gamma = cfg.gamma_hv + cfg.dgamma_hv * frame_index * (cfg.n_frame / cfg.symbol_rate)
-    h = dp_channel_matrix(phases, cfg, gamma)
-    a = np.fft.fft(tx_te)
-    b = np.fft.fft(tx_tm)
-    return np.fft.ifft(h[0, 0] * a + h[0, 1] * b), np.fft.ifft(h[1, 0] * a + h[1, 1] * b)
+    c, s = np.cos(gamma), np.sin(gamma)
+    r = np.exp(-1j * cfg.phi_iq) * np.array([[c, s], [-s, c]])
+    # einsum, not matmul: a (2, 2) @ (2, n) product goes to a threaded BLAS
+    # zgemm, whose threads then compete with the receiver for the cores
+    y = np.fft.ifft(diag * np.fft.fft(np.einsum("pq,qn->pn", r, tx), axis=1), axis=1)
+    return np.einsum("qp,qn->pn", r, y)
 
 
-def dp_run(tx_te: np.ndarray, tx_tm: np.ndarray, cfg,
-           rng: np.random.Generator, guard: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Frame-by-frame application with the frame-wise gamma schedule.
+def dp_run(tx: np.ndarray, cfg, rng: np.random.Generator, guard: int = 256) -> np.ndarray:
+    """Frame-by-frame application to the (2, n) (pol, sample) array ``tx``
+    with the frame-wise gamma schedule; returns a new (2, n) array.
 
     Each frame is transformed with guard overlap taken from the neighbouring
     samples (zeros at the stream edges); the guards are discarded after the
@@ -120,8 +110,9 @@ def dp_run(tx_te: np.ndarray, tx_tm: np.ndarray, cfg,
     (368 and 20,736 samples at the default frame), where the FFT is fast.
     Every frame has that length, so the frequency grid and the ``dp_phases``
     are built once; each frame then applies its own HV rotation.  Noise is
-    added once over the assembled stream.  Reads the ExperimentConfig's
-    n_os, n_frame and snr_db, and what ``dp_apply`` and ``dp_phases`` read.
+    added once over the assembled streams, TE's draws before TM's.  Reads
+    the ExperimentConfig's n_os, n_frame and snr_db, and what ``dp_apply``
+    and ``dp_phases`` read.
     """
     frame_samples = cfg.n_frame * cfg.n_os
     while True:  # step by 1, so an odd frame reaches an odd 5-smooth length
@@ -132,22 +123,16 @@ def dp_run(tx_te: np.ndarray, tx_tm: np.ndarray, cfg,
         if n == 1:
             break
         guard += 1
-    phases = dp_phases(frequency_grid(frame_samples + 2 * guard, cfg.n_os, cfg.symbol_rate), cfg)
-    n_tot = tx_te.shape[0]
-    out_te = np.empty(n_tot, dtype=np.complex128)
-    out_tm = np.empty(n_tot, dtype=np.complex128)
-    n_frames = int(np.ceil(n_tot / frame_samples))
-    for k in range(n_frames):
+    diag = dp_phases(frequency_grid(frame_samples + 2 * guard, cfg.n_os, cfg.symbol_rate), cfg)
+    n_tot = tx.shape[1]
+    out = np.empty((2, n_tot), dtype=np.complex128)
+    for k in range(int(np.ceil(n_tot / frame_samples))):
         lo, hi = k * frame_samples, min((k + 1) * frame_samples, n_tot)
         glo, ghi = max(lo - guard, 0), min(hi + guard, n_tot)
-        pre, post = lo - glo, ghi - hi
-        seg_te = np.pad(tx_te[glo:ghi], (guard - pre, guard - post))
-        seg_tm = np.pad(tx_tm[glo:ghi], (guard - pre, guard - post))
-        r_te, r_tm = dp_apply(seg_te, seg_tm, cfg, k, phases)
-        out_te[lo:hi] = r_te[guard: guard + hi - lo]
-        out_tm[lo:hi] = r_tm[guard: guard + hi - lo]
+        seg = np.pad(tx[:, glo:ghi], ((0, 0), (guard - (lo - glo), guard - (ghi - hi))))
+        out[:, lo:hi] = dp_apply(seg, cfg, k, diag)[:, guard: guard + hi - lo]
     if np.isfinite(cfg.snr_db):
-        sig = noise_sigma_sq(np.concatenate([out_te, out_tm]), cfg.n_os, cfg.snr_db)
-        out_te = add_awgn(out_te, sig, rng)
-        out_tm = add_awgn(out_tm, sig, rng)
-    return out_te, out_tm
+        sig = noise_sigma_sq(out, cfg.n_os, cfg.snr_db)
+        for p in range(2):
+            out[p] = add_awgn(out[p], sig, rng)
+    return out

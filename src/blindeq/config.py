@@ -206,18 +206,21 @@ def _pulse(cfg: ExperimentConfig) -> np.ndarray | None:
 
 def _transmit(cfg: ExperimentConfig, c: modem.Constellation,
               rng: np.random.Generator):
-    """Per-pol symbol streams and the pulse-shaped sample streams."""
+    """The (pol, n_sym) symbol streams and the (pol, n_sym n_os) pulse-shaped
+    sample streams, filled one pol at a time."""
     tx_sym = np.stack([modem.sample_symbols(c, cfg.n_ind * cfg.n_frame, rng)
                        for _ in range(cfg.n_pol)])
     rrc = _pulse(cfg)
-    tx_sig = [sigproc.upsample_zero_insert(s, cfg.n_os) if rrc is None
-              else sigproc.shape(s, rrc, cfg.n_os) for s in tx_sym]
+    tx_sig = np.empty((cfg.n_pol, tx_sym.shape[1] * cfg.n_os), dtype=np.complex128)
+    for p, s in enumerate(tx_sym):
+        tx_sig[p] = (sigproc.upsample_zero_insert(s, cfg.n_os) if rrc is None
+                     else sigproc.shape(s, rrc, cfg.n_os))
     return tx_sym, tx_sig
 
 
 def _propagate(cfg: ExperimentConfig, tx_sig, rng):
     if cfg.variant == "dp_optical":
-        return np.stack(ch.dp_run(tx_sig[0], tx_sig[1], cfg, rng))
+        return ch.dp_run(tx_sig, cfg, rng)
     return ch.awgn_isi_apply(tx_sig[0], cfg.n_os, ch.H_SIMS[cfg.h_sim], cfg.snr_db, rng)[None]
 
 

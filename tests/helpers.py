@@ -4,7 +4,8 @@ suite, the softmax-chain reference for the linear decoder's moment-form
 gradients, the per-array Adam that the one-buffer Adam is checked against,
 the exhaustive ambiguity search that evaluate's is checked against, a
 stream-level butterfly filter, the convolution-mean carrier phase estimator,
-the MMSE genie's direct solve and the closed-form QAM SER."""
+the MMSE genie's direct solve, the dual-polarization link's per-bin 2x2
+matrix and the closed-form QAM SER."""
 
 from __future__ import annotations
 
@@ -377,6 +378,18 @@ def mmse_baseline_direct(rx: np.ndarray, tx: np.ndarray, n_taps: int, sps: int):
             best = (resid, w, d)
     _, w, d = best
     return w, np.roll(x @ w, -d), d
+
+
+def dp_channel_matrix(diag: np.ndarray, cfg, gamma: float) -> np.ndarray:
+    """The dual-polarization link's frequency-domain 2x2 matrix per bin at HV
+    angle ``gamma``, R^T diag R with R = e^{-j phi_iq} R(gamma) and ``diag``
+    the (2, n) ``channel.dp_phases``: the reference for ``channel.dp_apply``,
+    which applies the same product in its factored form.  Returns shape
+    (2, 2, n)."""
+    c, s = np.cos(gamma), np.sin(gamma)
+    r = np.exp(-1j * cfg.phi_iq) * np.array([[c, s], [-s, c]])
+    # h[i, q, k] = sum_p r[p, i] diag[p, k] r[p, q]
+    return np.einsum("pi,pk,pq->iqk", r, diag, r)
 
 
 def qam_awgn_ser(m: int, snr_db: float) -> float:

@@ -323,19 +323,23 @@ def test_criterion_09_time_varying():
 
 
 def test_criterion_10_determinism(tmp_path):
-    cfg = ExperimentConfig(
+    # a single-pol ISI link, and a two-pol DP link whose HV angle drifts
+    isi = ExperimentConfig(
         seed=7, variant="awgn_isi", snr_db=18.0, m=16, taps=11,
         batch_symbols=200, lr=2e-3, shaping="rrc", n_frame=1_000, n_ind=3,
         n_run=2, ma_window=2, kind="CMA",
         sweep={"kind": ["CMA", "VAE-LE"]})
-    digests = []
-    for i, workers in enumerate((1, 2)):
-        out = tmp_path / f"rep{i}"
-        config.run_experiment(cfg, str(out), workers=workers)
-        digests.append(tuple(
-            hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("summary.csv", "raw.csv")))
-    ok = digests[0] == digests[1]
-    _report(10, ok, f"summary-CSV sha256 {digests[0][0][:16]}... identical "
-                    f"across repeats and worker counts")
-    assert ok
+    dp = replace(isi, variant="dp_optical", n_frame=2_000, dgamma_hv=9e5)
+    oks = []
+    for cfg in (isi, dp):
+        digests = []
+        for i, workers in enumerate((1, 2)):
+            out = tmp_path / f"{cfg.variant}-rep{i}"
+            config.run_experiment(cfg, str(out), workers=workers)
+            digests.append(tuple(
+                hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("summary.csv", "raw.csv")))
+        oks.append(digests[0] == digests[1])
+        _report(10, oks[-1], f"{cfg.variant} summary-CSV sha256 {digests[0][0][:16]}... "
+                             f"identical across repeats and worker counts")
+    assert all(oks)

@@ -7,6 +7,7 @@ import pytest
 from blindeq import channel as ch
 from blindeq import modem, sigproc
 from blindeq.config import ExperimentConfig
+from helpers import dp_channel_matrix
 
 
 def _dp(**kw) -> ExperimentConfig:
@@ -73,19 +74,23 @@ def test_awgn_isi_snr_calibration():
 def test_dp_matrix_unitary():
     cfg = _dp()
     f = np.linspace(-90e9, 90e9, 41)
-    h = ch.dp_channel_matrix(ch.dp_phases(f, cfg), cfg, cfg.gamma_hv)
+    h = dp_channel_matrix(ch.dp_phases(f, cfg), cfg, cfg.gamma_hv)
     for k in range(f.shape[0]):
         m = h[:, :, k]
         assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
 
 
 def test_dp_matrix_no_pmd_is_scalar_phase():
-    cfg = _dp(d_pmd=0.0, l_cd=0.0)
-    h = ch.dp_channel_matrix(ch.dp_phases(np.array([1e9, 5e9]), cfg), cfg, cfg.gamma_hv)
-    # without birefringence the rotation cancels: no cross-talk
-    assert np.allclose(h[0, 1], 0.0, atol=1e-12)
-    assert np.allclose(h[1, 0], 0.0, atol=1e-12)
-    assert np.allclose(np.abs(h[0, 0]), 1.0)
+    # without birefringence or dispersion the rotation cancels at every HV
+    # angle: no cross-talk, only the IQ phase, which enters through both R
+    # and R^T
+    cfg = _dp(d_pmd=0.0, l_cd=0.0, dgamma_hv=9e5)
+    rng = np.random.default_rng(8)
+    tx = rng.standard_normal((2, 512)) + 1j * rng.standard_normal((2, 512))
+    diag = ch.dp_phases(sigproc.frequency_grid(512, cfg.n_os, cfg.symbol_rate), cfg)
+    for k in (0, 7):
+        assert np.allclose(ch.dp_apply(tx, cfg, k, diag), np.exp(-2j * cfg.phi_iq) * tx,
+                           rtol=0, atol=1e-12)
 
 
 def test_dp_matrix_full_swap_at_45deg_half_dgd():
@@ -93,7 +98,7 @@ def test_dp_matrix_full_swap_at_45deg_half_dgd():
     # destructively on the diagonal: complete polarization swap
     cfg = _dp()
     tau = cfg.d_pmd * np.sqrt(cfg.l_pmd) * 1e-12  # DGD: ps / sqrt(km) times sqrt(km)
-    h = ch.dp_channel_matrix(ch.dp_phases(np.array([1.0 / (2.0 * tau)]), cfg), cfg, np.pi / 4)
+    h = dp_channel_matrix(ch.dp_phases(np.array([1.0 / (2.0 * tau)]), cfg), cfg, np.pi / 4)
     assert abs(h[0, 0, 0]) < 1e-12 and abs(h[1, 1, 0]) < 1e-12
     assert abs(abs(h[0, 1, 0]) - 1.0) < 1e-12
 
@@ -102,28 +107,26 @@ def test_gamma_schedule():
     # frame k sees the HV angle gamma_hv + dgamma_hv k n_frame / symbol_rate
     cfg = _dp(gamma_hv=0.1, dgamma_hv=9e4, symbol_rate=90e9, n_frame=10_000)
     rng = np.random.default_rng(6)
-    a = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    b = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    phases = ch.dp_phases(sigproc.frequency_grid(512, cfg.n_os, 90e9), cfg)
+    tx = rng.standard_normal((2, 512)) + 1j * rng.standard_normal((2, 512))
+    diag = ch.dp_phases(sigproc.frequency_grid(512, cfg.n_os, 90e9), cfg)
     for k, gamma in ((0, 0.1), (3, 0.1 + 9e4 * 3 * 10_000 / 90e9)):
-        h = ch.dp_channel_matrix(phases, cfg, gamma)
-        fa, fb = np.fft.fft(a), np.fft.fft(b)
-        ref = [np.fft.ifft(h[p, 0] * fa + h[p, 1] * fb) for p in (0, 1)]
-        assert np.allclose(ch.dp_apply(a, b, cfg, k, phases), ref, rtol=0, atol=1e-12)
+        h = dp_channel_matrix(diag, cfg, gamma)
+        f = np.fft.fft(tx, axis=1)
+        ref = [np.fft.ifft(h[p, 0] * f[0] + h[p, 1] * f[1]) for p in (0, 1)]
+        assert np.allclose(ch.dp_apply(tx, cfg, k, diag), ref, rtol=0, atol=1e-12)
     # the drift is visible: frame 3 is not frame 0
-    assert not np.allclose(ch.dp_apply(a, b, cfg, 3, phases), ch.dp_apply(a, b, cfg, 0, phases),
+    assert not np.allclose(ch.dp_apply(tx, cfg, 3, diag), ch.dp_apply(tx, cfg, 0, diag),
                            atol=1e-3)
 
 
 def test_dp_apply_energy_conserving():
     rng = np.random.default_rng(3)
-    a = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
-    b = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    tx = rng.standard_normal((2, 4096)) + 1j * rng.standard_normal((2, 4096))
     cfg = _dp(snr_db=np.inf)
-    phases = ch.dp_phases(sigproc.frequency_grid(4096, cfg.n_os, cfg.symbol_rate), cfg)
-    out_a, out_b = ch.dp_apply(a, b, cfg, 0, phases)
-    e_in = np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2)
-    e_out = np.sum(np.abs(out_a) ** 2) + np.sum(np.abs(out_b) ** 2)
+    diag = ch.dp_phases(sigproc.frequency_grid(4096, cfg.n_os, cfg.symbol_rate), cfg)
+    out = ch.dp_apply(tx, cfg, 0, diag)
+    e_in = np.sum(np.abs(tx) ** 2)
+    e_out = np.sum(np.abs(out) ** 2)
     assert abs(e_out / e_in - 1.0) < 1e-12
 
 
@@ -135,16 +138,15 @@ def test_dp_run_matches_single_frame():
     c = modem.build_constellation(4, 0.0)
     n = 20_000
     rrc = sigproc.rrc_taps(0.1, 32, 2)
-    a = sigproc.shape(modem.sample_symbols(c, n, rng), rrc, 2)
-    b = sigproc.shape(modem.sample_symbols(c, n, rng), rrc, 2)
+    tx = np.stack([sigproc.shape(modem.sample_symbols(c, n, rng), rrc, 2) for _ in range(2)])
     cfg = _dp(snr_db=np.inf, dgamma_hv=0.0, n_frame=5_000)
-    ra, rb = ch.dp_apply(a, b, cfg, 0, ch.dp_phases(
-        sigproc.frequency_grid(a.shape[0], cfg.n_os, cfg.symbol_rate), cfg))
+    ref = ch.dp_apply(tx, cfg, 0, ch.dp_phases(
+        sigproc.frequency_grid(tx.shape[1], cfg.n_os, cfg.symbol_rate), cfg))
     sl = slice(2048, 2 * n - 2048)  # skip the stream edges
 
     def err(guard):
-        fa, fb = ch.dp_run(a, b, cfg, rng, guard=guard)
-        return max(np.max(np.abs(fa[sl] - ra[sl])), np.max(np.abs(fb[sl] - rb[sl])))
+        out = ch.dp_run(tx, cfg, rng, guard=guard)
+        return np.max(np.abs(out[:, sl] - ref[:, sl]))
 
     e_small, e_large = err(256), err(4096)
     assert e_large < 1e-4
@@ -165,14 +167,14 @@ def test_dp_run_transforms_at_the_next_5_smooth_length(monkeypatch, n_frame, n_o
     lengths = []
     apply = ch.dp_apply
 
-    def spy(a, b, cfg, k, phases):
-        lengths.append(a.shape[0])
-        return apply(a, b, cfg, k, phases)
+    def spy(tx, cfg, k, diag):
+        lengths.append(tx.shape[1])
+        return apply(tx, cfg, k, diag)
 
     monkeypatch.setattr(ch, "dp_apply", spy)
-    n = 2 * n_frame * n_os
-    ch.dp_run(np.ones(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128),
-              _dp(snr_db=np.inf, n_frame=n_frame, n_os=n_os), np.random.default_rng(0))
+    tx = np.zeros((2, 2 * n_frame * n_os), dtype=np.complex128)
+    tx[0] = 1.0
+    ch.dp_run(tx, _dp(snr_db=np.inf, n_frame=n_frame, n_os=n_os), np.random.default_rng(0))
     (length,) = set(lengths)
     shortest = n_frame * n_os + 2 * 256
     assert length >= shortest and _is_5_smooth(length)
@@ -186,9 +188,9 @@ def test_dp_run_transforms_at_the_next_5_smooth_length(monkeypatch, n_frame, n_o
 def test_dp_run_time_varying_changes_frames():
     rng = np.random.default_rng(5)
     n = 8_000
-    a = np.ones(n, dtype=np.complex128)
-    b = np.zeros(n, dtype=np.complex128)
-    _, out_b = ch.dp_run(a, b, _dp(snr_db=np.inf, dgamma_hv=5e5, n_frame=2_000), rng)
+    tx = np.zeros((2, n), dtype=np.complex128)
+    tx[0] = 1.0
+    out_b = ch.dp_run(tx, _dp(snr_db=np.inf, dgamma_hv=5e5, n_frame=2_000), rng)[1]
     # leakage into the orthogonal polarization grows with the rotation drift
     first = np.mean(np.abs(out_b[500:3500]))
     last = np.mean(np.abs(out_b[-3500:-500]))
