@@ -97,9 +97,8 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         else:
             cfg = RECIPES[args.name]
-            overrides = {k: getattr(args, k.replace('-', '_'))
-                         for k in ("n_ind", "n_run", "seed")
-                         if getattr(args, k, None) is not None}
+            overrides = {k: getattr(args, k) for k in ("n_ind", "n_run", "seed")
+                         if getattr(args, k) is not None}
             if "n_ind" in overrides:
                 overrides["ma_window"] = min(cfg.ma_window, overrides["n_ind"])
             if overrides:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .modem import Constellation, map_decide, symbol_indices
+from .modem import Constellation, map_decide
 
 # the blind receivers leave a phase ambiguity of multiples of pi/4 (pi/2 from
 # the constellation symmetry, pi/4 from the fourth-power CPE convention) plus
@@ -58,18 +58,21 @@ def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
     amplitude-normalized to the reference before decisions, removing the
     residual gain ambiguity of blind equalizers.  Only x, x w, -x and -x w are
     decided (-x not mirrored from x, as 0 and NaN decide one-sided).
-    The zero shift always leaves symbols to score, as ``ExperimentConfig``
-    rejects frames no longer than twice the edge trim.
+    The reference must be the transmitted constellation points: the decided
+    levels are compared with its I and Q components as they are.  The zero
+    shift always leaves symbols to score, as ``ExperimentConfig`` rejects
+    frames no longer than twice the edge trim.
     """
     amp = np.mean(np.abs(x_hat))
     if amp > 0:
         x_hat = x_hat * (np.mean(np.abs(ref)) / amp)
     n = ref.shape[0]
-    ref_iq = np.stack(symbol_indices(c, ref))
+    ref_iq = np.stack([ref.real, ref.imag])
     z = [x_hat * _ROTATIONS[0], x_hat * _ROTATIONS[1]]
     dec = np.empty((8, n), dtype=np.intp)
     for k, v in enumerate(z + [-z[0], -z[1]]):
         dec[2 * k], dec[2 * k + 1] = map_decide(v, c, sigma_sq)
+    dec = c.levels[dec]
     best = None
     for s in _candidate_shifts(x_hat, ref, max_shift):
         lo_hat, lo_ref = max(s, 0) + edge_trim, max(-s, 0) + edge_trim

@@ -2,6 +2,10 @@
 entropy and MAP hard decision.  The shaping-aware soft demapper is part of
 the linear VAE decoder's update, ``equalize.vae_le_grads``.
 
+Sampled symbols are exact constellation points, each component one of the
+levels, and evaluation's reference must be these transmitted points: it
+compares decided levels with the reference's components as they are.
+
 Normalization convention: the shaping parameter ``nu`` applies to the
 unscaled odd-integer amplitude levels {..., -3, -1, 1, 3, ...}.  The levels
 are then scaled by a common factor so that the expected 2-D symbol energy
@@ -81,22 +85,6 @@ def sample_symbols(c: Constellation, n: int, rng: np.random.Generator) -> np.nda
     i_lev = rng.choice(c.n_levels, size=n, p=c.prior)
     q_lev = rng.choice(c.n_levels, size=n, p=c.prior)
     return c.levels[i_lev] + 1j * c.levels[q_lev]
-
-
-def symbol_indices(c: Constellation, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact level indices of noiseless constellation points (genie reference)."""
-    return _nearest_level(x.real, c.levels), _nearest_level(x.imag, c.levels)
-
-
-def _nearest_level(v: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    # the nearest level is one of the two around v, lo and lo + 1, where lo
-    # counts the inner levels <= v (NaN counts all); comparing their rounded
-    # distances, ties to the lower, gives what an argmin over all levels gives
-    # (deciding by the rounded midpoints would not, at a midpoint)
-    lo = np.zeros(v.shape, dtype=np.intp)
-    for a in levels[1:-1]:
-        lo += ~(v < a)
-    return lo + (np.abs(v - levels[lo + 1]) < np.abs(v - levels[lo]))
 
 
 def decision_boundaries(c: Constellation, sigma_sq: float) -> np.ndarray:

@@ -2,10 +2,11 @@
 variational-loss instances used by both the unit tests and the acceptance
 suite, the softmax-chain reference for the linear decoder's moment-form
 gradients, the per-array Adam that the one-buffer Adam is checked against,
-the exhaustive ambiguity search that evaluate's is checked against, a
-stream-level butterfly filter, the convolution-mean carrier phase estimator,
-the MMSE genie's direct solve, the dual-polarization link's per-bin 2x2
-matrix and the closed-form QAM SER."""
+the genie reference's level indices, the exhaustive ambiguity search that
+evaluate's is checked against, a stream-level butterfly filter, the
+convolution-mean carrier phase estimator, the MMSE genie's direct solve,
+the dual-polarization link's per-bin 2x2 matrix and the closed-form QAM
+SER."""
 
 from __future__ import annotations
 
@@ -287,6 +288,22 @@ class AdamPerArray:
 _ROTATIONS = np.exp(1j * np.pi / 4.0 * np.arange(8))
 
 
+def symbol_indices(c: modem.Constellation, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact level indices of noiseless constellation points (genie reference)."""
+    return _nearest_level(x.real, c.levels), _nearest_level(x.imag, c.levels)
+
+
+def _nearest_level(v: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    # the nearest level is one of the two around v, lo and lo + 1, where lo
+    # counts the inner levels <= v (NaN counts all); comparing their rounded
+    # distances, ties to the lower, gives what an argmin over all levels gives
+    # (deciding by the rounded midpoints would not, at a midpoint)
+    lo = np.zeros(v.shape, dtype=np.intp)
+    for a in levels[1:-1]:
+        lo += ~(v < a)
+    return lo + (np.abs(v - levels[lo + 1]) < np.abs(v - levels[lo]))
+
+
 def candidate_shifts_full(x_hat, ref, max_shift):
     """Shift candidates from the full-lag correlation, masked to
     |lag| <= max_shift: 0 and the first peak of the plain and the
@@ -310,7 +327,7 @@ def resolve_ambiguity_exhaustive(x_hat, ref, c, sigma_sq, max_shift=50,
     if amp > 0:
         x_hat = x_hat * (np.mean(np.abs(ref)) / amp)
     n = ref.shape[0]
-    ref_i, ref_q = modem.symbol_indices(c, ref)
+    ref_i, ref_q = symbol_indices(c, ref)
     best = None
     for s in candidate_shifts_full(x_hat, ref, max_shift):
         lo_hat, lo_ref = max(s, 0) + edge_trim, max(-s, 0) + edge_trim

@@ -17,7 +17,8 @@ from blindeq import equalize as eq
 from blindeq import evaluate as ev
 from blindeq import modem, sigproc
 from blindeq.config import ExperimentConfig
-from helpers import LOSS_INSTANCES, max_gradient_error, primitive_cases, qam_awgn_ser
+from helpers import (LOSS_INSTANCES, max_gradient_error, primitive_cases, qam_awgn_ser,
+                     symbol_indices)
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -41,7 +42,7 @@ def _mmse_gate_ser(snr_db: float, nu: float, seed: int,
     _, out, _ = eq.mmse_baseline(rx, s, n_taps=20, sps=1)
     sl = slice(50, -50)
     i, q = modem.map_decide(out[sl], c, 10.0 ** (-snr_db / 10.0) / 2.0)
-    ri, rq = modem.symbol_indices(c, s[sl])
+    ri, rq = symbol_indices(c, s[sl])
     return float(np.mean((i != ri) | (q != rq)))
 
 
@@ -221,7 +222,7 @@ def test_criterion_03_no_isi_ser():
             sig = 10.0 ** (-snr / 10.0)
             y = ch.add_awgn(s, sig, rng)
             i, q = modem.map_decide(y, c, sig / 2.0)
-            ri, rq = modem.symbol_indices(c, s)
+            ri, rq = symbol_indices(c, s)
             p_hat = float(np.mean((i != ri) | (q != rq)))
             p_ref = qam_awgn_ser(m, snr)
             sd = np.sqrt(p_ref * (1.0 - p_ref) / n)

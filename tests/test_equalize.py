@@ -15,7 +15,7 @@ from blindeq import modem, sigproc
 from blindeq.errors import ConfigError
 from helpers import (AdamPerArray, butterfly_apply, dp_le_instance, max_gradient_error,
                      mmse_baseline_direct, rel_err, vae_le_grads_softmax, vae_nn_forward_loop,
-                     viterbi_viterbi_cpe_convolution)
+                     symbol_indices, viterbi_viterbi_cpe_convolution)
 
 
 def test_godard_radius():
@@ -118,11 +118,12 @@ def _naive_cma(rx, r2, n_taps, lr0, sps, n_frame, scheduler, n_b, n_flex):
     return out, taps.reshape(pol, pol, n_taps)
 
 
-@pytest.mark.parametrize("n_b, n_flex", [(1, 1), (7, 7), (7, 3)])
+@pytest.mark.parametrize("n_b, n_flex", [(1, 1), (7, 7), (7, 3), (7, 10)])
 def test_cma_run_schedule_oracle(n_b, n_flex):
     # 70 symbols in frames of 3: frame index 20 (the first halving of mu)
     # starts at symbol 60, inside the n_flex block [58, 61); n_b = 7 is not a
-    # multiple of n_flex = 3
+    # multiple of n_flex = 3; with n_flex = 10 > n_b, updates skip symbols and
+    # each batch crosses the ring buffer's wrap
     rng = np.random.default_rng(13)
     c = modem.build_constellation(16, 0.0)
     rx = rng.standard_normal((2, 140)) + 1j * rng.standard_normal((2, 140))
@@ -339,7 +340,7 @@ def test_vae_loss_one_hot_oracle():
     n = 12
     s = modem.sample_symbols(c, n, rng)
     y = s + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    i_idx, q_idx = modem.symbol_indices(c, s)
+    i_idx, q_idx = symbol_indices(c, s)
     # logits 0 at the true level and -1e3 elsewhere: q is one-hot in floats
     eye = np.eye(c.n_levels)
     z = -1e3 * (1.0 - np.stack([eye[:, i_idx], eye[:, q_idx]])[None])

@@ -10,7 +10,8 @@ from blindeq import evaluate as ev
 from blindeq import modem
 from blindeq.errors import ConfigError
 
-from helpers import candidate_shifts_full, qam_awgn_ser, resolve_ambiguity_exhaustive
+from helpers import (candidate_shifts_full, qam_awgn_ser, resolve_ambiguity_exhaustive,
+                     symbol_indices)
 
 
 def test_aggregate_runs():
@@ -57,10 +58,26 @@ def test_resolve_ambiguity_never_worse_than_identity():
                      + 1j * rng.standard_normal(len(ref)))
     amp = np.mean(np.abs(ref)) / np.mean(np.abs(x))
     i_idx, q_idx = modem.map_decide(amp * x, c, 0.1)
-    ref_i, ref_q = modem.symbol_indices(c, ref)
+    ref_i, ref_q = symbol_indices(c, ref)
     ident_ser = np.count_nonzero((i_idx != ref_i) | (q_idx != ref_q)) / len(ref)
     align = ev.resolve_ambiguity(x, ref, c, 0.1)
     assert align.ser <= ident_ser
+
+
+def test_resolve_ambiguity_scores_a_shaped_reference_as_transmitted():
+    # at nu 0.1 and sigma^2 0.5 the outer MAP boundaries (+-1.286) lie beyond
+    # the outer levels (+-1.137), so a noiseless outer component decides
+    # inward: the reference itself scores an error at every symbol with an
+    # outer I or Q component, which reading the reference through its own
+    # MAP decisions would hide
+    rng = np.random.default_rng(5)
+    c = modem.build_constellation(16, 0.1)
+    assert modem.decision_boundaries(c, 0.5)[-1] > c.levels[-1]
+    ref = modem.sample_symbols(c, 4_000, rng)
+    outer = (np.abs(ref.real) == c.levels[-1]) | (np.abs(ref.imag) == c.levels[-1])
+    align = ev.resolve_ambiguity(ref, ref, c, 0.5)
+    assert (align.shift, align.rotation, align.conjugate) == (0, 0, False)
+    assert align.ser == np.count_nonzero(outer) / len(ref) == 0.53325
 
 
 @pytest.mark.parametrize("n, max_shift", [(300, 50), (40, 50), (40, 39),

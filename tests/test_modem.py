@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from blindeq import modem
 from blindeq.errors import ConfigError
-from helpers import soft_demap
+from helpers import soft_demap, symbol_indices
 
 
 @pytest.mark.parametrize("m", [4, 16, 64])
@@ -52,7 +52,7 @@ def test_sampling_prior_and_determinism():
     c = modem.build_constellation(16, 0.1)
     n = 200_000
     s = modem.sample_symbols(c, n, np.random.default_rng(9))
-    i_idx, _ = modem.symbol_indices(c, s)
+    i_idx, _ = symbol_indices(c, s)
     freq = np.bincount(i_idx, minlength=4) / n
     sig = np.sqrt(c.prior * (1 - c.prior) / n)
     assert np.all(np.abs(freq - c.prior) < 5 * sig)
@@ -65,7 +65,7 @@ def test_noiseless_points_decode_to_themselves():
         c = modem.build_constellation(64, nu)
         pts = (c.levels[:, None] + 1j * c.levels[None, :]).ravel()
         i_idx, q_idx = modem.map_decide(pts, c, 0.01)
-        ri, rq = modem.symbol_indices(c, pts)
+        ri, rq = symbol_indices(c, pts)
         assert np.array_equal(i_idx, ri)
         assert np.array_equal(q_idx, rq)
 
@@ -126,7 +126,7 @@ def test_symbol_indices_match_argmin(m):
                             mids + 1j * mids[::-1], -mids - 1j * mids])
         ref = tuple(np.argmin(np.abs(comp[:, None] - c.levels[None, :]), axis=1)
                     for comp in (x.real, x.imag))
-        i_idx, q_idx = modem.symbol_indices(c, x)
+        i_idx, q_idx = symbol_indices(c, x)
         assert np.array_equal(i_idx, ref[0]) and np.array_equal(q_idx, ref[1])
 
 
