@@ -21,7 +21,8 @@ from .errors import ConfigError
 
 EQUALIZER_KINDS = ("CMA", "CMAbatch", "CMAflex", "VAE-LE", "VAE-NN",
                    "VAEflex", "MMSE-genie")
-SWEEP_KEYS = ("snr_db", "kind", "lr", "batch_symbols", "taps", "symbol_rate",
+# the fields a sweep may set, in summary.csv's column order
+SWEEP_KEYS = ("kind", "snr_db", "lr", "batch_symbols", "taps", "symbol_rate",
               "dgamma_hv", "entropy")
 # the values a number or bool field's annotation admits, and their name in errors
 _SCALAR_TYPES = {"int": ((int, np.integer), "an integer"), "bool": (bool, "true or false"),
@@ -147,6 +148,10 @@ class ExperimentConfig:
                 raise ConfigError(f"need flex_symbols <= batch_symbols, got {n_flex}, {n_b}")
             if self.n_ind * self.n_frame < self.batch_symbols:
                 raise ConfigError("the stream (n_ind * n_frame) is shorter than one batch")
+            f_ch = self.ch_taps or self.taps  # the loss trims f_ch // 2 samples per batch end
+            if self.batch_symbols * self.n_os < f_ch:
+                raise ConfigError(f"a batch of {self.batch_symbols * self.n_os} samples is "
+                                  f"shorter than the {f_ch}-tap channel model")
 
     @property
     def n_pol(self) -> int:
@@ -281,20 +286,17 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
     sig_frames = (_per_frame_sigma(cfg, res.sigma_traj) if res.sigma_traj is not None
                   else np.full(cfg.n_ind, 10.0 ** (-cfg.snr_db / 10.0)))
 
-    # run-level polarization pairing, then per-frame ambiguity resolution;
-    # MAP decisions see the per-component noise variance
+    # run-level polarization pairing, then per-frame ambiguity resolution of
+    # the paired rows (a list index: a tuple picks out one element); MAP
+    # decisions see the per-component noise variance
     pairing = ev.resolve_pol_pairing(res.out, tx_sym, c, float(sig_frames[-1]) / 2.0,
                                      n_frame=cfg.n_frame)
-    edge = _edge_trim(cfg)
-    curves = np.empty((cfg.n_pol, cfg.n_ind))
-    for p in range(cfg.n_pol):
-        curves[p] = ev.frame_ser_curve(res.out[pairing[p]], tx_sym[p], c, sig_frames / 2.0,
-                                       cfg.n_frame, edge)
+    curves = ev.frame_ser_curve(res.out[list(pairing)], tx_sym, c, sig_frames / 2.0,
+                                cfg.n_frame, _edge_trim(cfg))
     record = {
         "run": run_idx,
         "frame_ser": curves,
-        "ma": np.stack([sigproc.window_means(curves[p], cfg.ma_window)
-                        for p in range(cfg.n_pol)]),
+        "ma": sigproc.window_means(curves, cfg.ma_window),
         "wall_s": wall,
         "singularity_corr": res.singularity_corr,
     }
@@ -350,20 +352,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dic
     else:
         results = [_run_star(j) for j in jobs]
 
-    raw_rows, summary_rows = [], []
-    per_point = {}
-    for (pt, r, _, i), rec in zip(jobs, results):
-        per_point.setdefault(i, []).append(rec)
-        for p in range(rec["frame_ser"].shape[0]):
-            for k in range(rec["frame_ser"].shape[1]):
-                raw_rows.append((i, r, p, k, rec["frame_ser"][p, k]))
+    raw_rows = [(i, r, p, k, ser) for (_, r, _, i), rec in zip(jobs, results)
+                for (p, k), ser in np.ndenumerate(rec["frame_ser"])]
+    summary_rows = []
     for i, pt in enumerate(points):
-        recs = per_point[i]
+        # jobs run point by point, and map keeps their order
+        recs = results[i * cfg.n_run: (i + 1) * cfg.n_run]
         ma = np.concatenate([rec["ma"] for rec in recs], axis=0)
         rep = ev.aggregate_runs(ma, threshold=cfg.threshold)
         # the swept fields as the point sets them, then the aggregate
-        row = {"sweep_index": i, **{k: getattr(pt, k) for k in _SUMMARY_COLS[1:8]},
-               "entropy": "" if pt.entropy is None else pt.entropy,
+        row = {"sweep_index": i,
+               **{k: "" if getattr(pt, k) is None else getattr(pt, k) for k in SWEEP_KEYS},
                "final_ser": rep.final_ser, "n_success": rep.n_success, "n_fail": rep.n_fail}
         snrs = [rec["snr_est_db"][-1] for rec in recs if "snr_est_db" in rec]
         row["snr_est_db"] = float(np.mean(snrs)) if snrs else ""
@@ -398,9 +397,8 @@ def _write_raw_csv(path: str, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-_SUMMARY_COLS = ("sweep_index", "kind", "snr_db", "lr", "batch_symbols",
-                 "taps", "symbol_rate", "dgamma_hv", "entropy", "final_ser",
-                 "n_success", "n_fail", "snr_est_db", "ip_nmse_db")
+_SUMMARY_COLS = ("sweep_index", *SWEEP_KEYS, "final_ser", "n_success", "n_fail",
+                 "snr_est_db", "ip_nmse_db")
 
 
 def _write_summary_csv(path: str, rows) -> None:

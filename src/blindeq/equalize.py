@@ -199,15 +199,12 @@ def viterbi_viterbi_cpe(x: np.ndarray, window: int) -> np.ndarray:
     mean from one cumulative sum, so its cost does not grow with the window.
     The fourth-power phase is unwrapped across the sequence to avoid pi/2
     cycle slips.  A residual pi/2 (and pi/4 offset) ambiguity remains for
-    downstream resolution.  x is (pol, n).
+    downstream resolution.  x is (pol, n), each row estimated on its own.
     """
-    out = np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(x.shape[0]):
-            z = window_means(np.pad(x[p] ** 4, window // 2), window)
-            phi4 = np.unwrap(np.angle(-z))
-            out[p] = x[p] * np.exp(-0.25j * phi4)
-    return out
+        z = window_means(np.pad(x ** 4, ((0, 0), (window // 2, window // 2))), window)
+        phi4 = np.unwrap(np.angle(-z), axis=-1)
+        return x * np.exp(-0.25j * phi4)
 
 
 # the MMSE genie's ridge on the Gram matrix, its symbol-delay search range,

@@ -104,11 +104,13 @@ def resolve_pol_pairing(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
 
 def frame_ser_curve(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
                     sigma_sq: np.ndarray, n_frame: int, edge_trim: int) -> np.ndarray:
-    """Per-frame SER with per-frame ambiguity resolution, one polarization;
-    sigma_sq holds one decision variance per frame."""
-    frames = zip(x_hat.reshape(-1, n_frame), ref.reshape(-1, n_frame), sigma_sq, strict=True)
+    """Per-frame SER with per-frame ambiguity resolution of (..., n) streams,
+    each row of x_hat scored against the same row of ref; sigma_sq holds one
+    decision variance per frame, shared by the rows.  Returns (..., n / n_frame)."""
+    sig = np.broadcast_to(sigma_sq, x_hat.shape[:-1] + sigma_sq.shape).ravel()
+    frames = zip(x_hat.reshape(-1, n_frame), ref.reshape(-1, n_frame), sig, strict=True)
     return np.array([resolve_ambiguity(h, r, c, float(s), edge_trim=edge_trim).ser
-                     for h, r, s in frames])
+                     for h, r, s in frames]).reshape(x_hat.shape[:-1] + (-1,))
 
 
 @dataclass

@@ -51,11 +51,12 @@ def convolve_same(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def window_means(x: np.ndarray, window: int) -> np.ndarray:
-    """Mean of every run of ``window`` consecutive values of a 1-D array,
-    length n - window + 1, from one cumulative sum.  A non-finite value
-    makes every later mean NaN or infinite, not only the windows holding it."""
-    c = np.cumsum(np.concatenate([np.zeros(1, dtype=x.dtype), x]))
-    return (c[window:] - c[:-window]) / window
+    """Mean of every run of ``window`` consecutive values along the last axis,
+    length n - window + 1, from one cumulative sum.  A non-finite value makes
+    every later mean of its row NaN or infinite, not only the windows holding it."""
+    zero = np.zeros(x.shape[:-1] + (1,), dtype=x.dtype)
+    c = np.cumsum(np.concatenate([zero, x], axis=-1), axis=-1)
+    return (c[..., window:] - c[..., :-window]) / window
 
 
 def shape(symbols: np.ndarray, rrc: np.ndarray, n_os: int) -> np.ndarray:

@@ -305,6 +305,9 @@ def test_cli_rejects_bad_worker_count(tmp_path, capsys, monkeypatch, argv):
     {"sweep": 5},                                      # a sweep maps axes to values
     {"sweep": ["kind"]},
     {"sweep": None},
+    {"kind": "VAE-LE", "batch_symbols": 5},             # 10 samples, 11 channel taps
+    {"kind": "VAE-NN", "ch_taps": 21, "batch_symbols": 10},
+    {"kind": "VAEflex", "flex_symbols": 1, "sweep": {"batch_symbols": [300, 5]}},
 ])
 def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad):
     def no_run(*args):
@@ -320,6 +323,16 @@ def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad
     with pytest.raises(ConfigError):
         config.from_dict(dict(raw, **bad))
     config.from_dict(dict(raw, sweep={"taps": [11, 13]}))
+
+
+@pytest.mark.parametrize("kind", ["VAE-LE", "VAE-NN"])
+def test_vae_batch_as_long_as_the_channel_model_runs(kind):
+    # 12 samples against 11 channel taps leave the loss one sample per batch
+    cfg = config.from_dict({"seed": 1, "kind": kind, "m": 16, "taps": 11, "n_frame": 1000,
+                            "n_ind": 2, "ma_window": 1, "batch_symbols": 6})
+    rec = config.run_single(cfg, 0, cfg.seed, 0)
+    assert np.all(np.isfinite(rec["snr_est_db"]))
+    assert np.all((rec["frame_ser"] >= 0) & (rec["frame_ser"] <= 1))
 
 
 _NASTY = st.sampled_from([0.0, -1.0, float("inf"), float("-inf"), float("nan")])

@@ -190,6 +190,23 @@ def test_frame_ser_curve():
                            edge_trim=0)
 
 
+def test_frame_ser_curve_scores_each_row_on_its_own():
+    # two pols with different symbols and noise: the (2, n) call equals the
+    # two per-row calls exactly, both rows decided with the per-frame variances
+    c = modem.build_constellation(16, 0.0)
+    rng = np.random.default_rng(4)
+    ref = np.stack([modem.sample_symbols(c, 6_000, rng) for _ in range(2)])
+    noise = rng.standard_normal((2, 6_000)) + 1j * rng.standard_normal((2, 6_000))
+    x = ref + np.array([[0.15], [0.25]]) * noise
+    sig = np.array([0.02, 0.03, 0.02])
+    curves = ev.frame_ser_curve(x, ref, c, sig, n_frame=2_000, edge_trim=10)
+    rows = [ev.frame_ser_curve(x[p], ref[p], c, sig, n_frame=2_000, edge_trim=10)
+            for p in range(2)]
+    assert curves.shape == (2, 3)
+    assert np.array_equal(curves, np.stack(rows))
+    assert np.all(curves[0] > 0) and np.all(curves[1] > curves[0])
+
+
 def test_snr_report():
     est = ev.snr_report(np.array([0.01, 0.1]))
     assert np.allclose(est, [20.0, 10.0])

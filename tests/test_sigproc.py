@@ -90,6 +90,15 @@ def test_window_means_match_convolution(window):
         assert rel_err(out, ref) < 1e-12
 
 
+def test_window_means_per_row():
+    # a 2-D array gives each row's means, bit for bit
+    rng = np.random.default_rng(3)
+    for x in (rng.standard_normal((3, 50)),
+              rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50))):
+        out = sigproc.window_means(x, 7)
+        assert np.array_equal(out, np.stack([sigproc.window_means(r, 7) for r in x]))
+
+
 def test_convolve_same_matches_autodiff_conv():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(30)
