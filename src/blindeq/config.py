@@ -48,8 +48,7 @@ class ExperimentConfig:
     l_cd: float = 1.0                    # km (residual, uncompensated)
     dgamma_hv: float = 0.0               # HV drift, rad / s
     m: int = 64
-    nu: float = 0.0
-    entropy: float | None = None         # overrides nu when given
+    entropy: float | None = None         # PCS entropy, bit/symbol; uniform when None
     kind: str = "VAE-LE"
     taps: int = 25                       # equalizer length (odd)
     ch_taps: int | None = None           # channel-model length (default taps)
@@ -124,10 +123,9 @@ class ExperimentConfig:
             raise ConfigError(f"need n_run, n_frame, n_os, batch_symbols and flex_symbols "
                               f">= 1, got {self.n_run}, {self.n_frame}, {self.n_os}, "
                               f"{self.batch_symbols}, {self.flex_symbols}")
-        modem.build_constellation(self.m, self.effective_nu())  # m, nu, entropy
+        modem.build_constellation(self.m, self.effective_nu())  # m and entropy
         _pulse(self)  # the RRC roll-off and span
-        if self.kind != "MMSE-genie":
-            eq.dirac_taps(1, self.taps)  # odd lengths
+        eq.dirac_taps(1, self.taps)  # odd lengths; the MMSE genie's too, as _edge_trim reads it
         if self.ch_taps is not None:
             eq.dirac_taps(1, self.ch_taps)
         if self.kind == "MMSE-genie" and (self.variant != "awgn_isi" or self.mmse_taps < 1):
@@ -135,9 +133,9 @@ class ExperimentConfig:
                               f"mmse_taps >= 1, got {self.variant}, {self.mmse_taps}")
         if self.kind.startswith("CMA") and (self.cpe_window < 1 or self.cpe_window % 2 == 0):
             raise ConfigError(f"cpe_window must be positive and odd, got {self.cpe_window}")
-        if self.kind == "VAE-NN" and (self.k1 % 2 == 0 or self.k2 not in (3, 5)
+        if self.kind == "VAE-NN" and (self.k1 < 1 or self.k1 % 2 == 0 or self.k2 not in (3, 5)
                                       or (self.hidden is not None and self.hidden < 1)):
-            raise ConfigError(f"VAE-NN needs an odd k1, k2 in {{3, 5}} and hidden "
+            raise ConfigError(f"VAE-NN needs a positive odd k1, k2 in {{3, 5}} and hidden "
                               f">= 1, got {self.k1}, {self.k2}, {self.hidden}")
         if self.n_frame <= 2 * _edge_trim(self):
             raise ConfigError(f"n_frame {self.n_frame} must exceed twice the edge trim "
@@ -158,9 +156,7 @@ class ExperimentConfig:
         return 2 if self.variant == "dp_optical" else 1
 
     def effective_nu(self) -> float:
-        if self.entropy is not None:
-            return modem.nu_for_entropy(self.m, self.entropy)
-        return self.nu
+        return 0.0 if self.entropy is None else modem.nu_for_entropy(self.m, self.entropy)
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(ExperimentConfig))
@@ -269,11 +265,10 @@ def _per_frame_sigma(cfg, sigma_traj):
     return sigma_traj[np.searchsorted(sigma_traj[:, 0], ends) - 1, 1]
 
 
-def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
-               sweep_idx: int) -> dict:
+def run_single(cfg: ExperimentConfig, run_idx: int, sweep_idx: int) -> dict:
     """One full transmit / propagate / equalize / evaluate run."""
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(master_seed, sweep_idx, run_idx)))
+        np.random.SeedSequence(entropy=(cfg.seed, sweep_idx, run_idx)))
     c = modem.build_constellation(cfg.m, cfg.effective_nu())
     tx_sym, tx_sig = _transmit(cfg, c, rng)
     rx = _propagate(cfg, tx_sig, rng)
@@ -294,7 +289,6 @@ def run_single(cfg: ExperimentConfig, run_idx: int, master_seed: int,
     curves = ev.frame_ser_curve(res.out[list(pairing)], tx_sym, c, sig_frames / 2.0,
                                 cfg.n_frame, _edge_trim(cfg))
     record = {
-        "run": run_idx,
         "frame_ser": curves,
         "ma": sigproc.window_means(curves, cfg.ma_window),
         "wall_s": wall,
@@ -328,10 +322,6 @@ def sweep_points(cfg: ExperimentConfig):
     return [replace(cfg, sweep={}, **p) for p in points]
 
 
-def _run_star(args):
-    return run_single(*args)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dict:
     """Run all sweep points and runs; write raw/summary CSVs and a manifest.
 
@@ -343,16 +333,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dic
         raise ConfigError(f"the worker count must be an integer >= 1, got {workers!r}")
     os.makedirs(out_dir, exist_ok=True)
     points = sweep_points(cfg)
-    jobs = [(pt, r, cfg.seed, i)
-            for i, pt in enumerate(points) for r in range(cfg.n_run)]
+    jobs = [(pt, r, i) for i, pt in enumerate(points) for r in range(cfg.n_run)]
     t0 = time.perf_counter()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_star, jobs))
+            results = list(pool.map(run_single, *zip(*jobs)))
     else:
-        results = [_run_star(j) for j in jobs]
+        results = list(map(run_single, *zip(*jobs)))
 
-    raw_rows = [(i, r, p, k, ser) for (_, r, _, i), rec in zip(jobs, results)
+    raw_rows = [(i, r, p, k, ser) for (_, r, i), rec in zip(jobs, results)
                 for (p, k), ser in np.ndenumerate(rec["frame_ser"])]
     summary_rows = []
     for i, pt in enumerate(points):
@@ -370,8 +359,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dic
         row["ip_nmse_db"] = float(np.mean(nmses)) if nmses else ""
         summary_rows.append(row)
 
-    _write_raw_csv(os.path.join(out_dir, "raw.csv"), raw_rows)
-    _write_summary_csv(os.path.join(out_dir, "summary.csv"), summary_rows)
+    _write_csv(os.path.join(out_dir, "raw.csv"), _RAW_COLS, raw_rows)
+    _write_csv(os.path.join(out_dir, "summary.csv"), _SUMMARY_COLS,
+               [[row[c] for c in _SUMMARY_COLS] for row in summary_rows])
     manifest = {
         "config_digest": config_digest(cfg),
         "seed": cfg.seed,
@@ -390,19 +380,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_raw_csv(path: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("sweep_index,run,pol,frame,ser\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
+_RAW_COLS = ("sweep_index", "run", "pol", "frame", "ser")
 _SUMMARY_COLS = ("sweep_index", *SWEEP_KEYS, "final_ser", "n_success", "n_fail",
                  "snr_est_db", "ip_nmse_db")
 
 
-def _write_summary_csv(path: str, rows) -> None:
+def _write_csv(path: str, cols, rows) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(_SUMMARY_COLS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in _SUMMARY_COLS) + "\n")
+        for row in (cols, *rows):
+            fh.write(",".join(_fmt(v) for v in row) + "\n")

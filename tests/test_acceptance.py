@@ -26,7 +26,7 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 
 def _aggregate(cfg: ExperimentConfig, n_run: int):
-    recs = [config.run_single(cfg, r, cfg.seed, 0) for r in range(n_run)]
+    recs = [config.run_single(cfg, r, 0) for r in range(n_run)]
     ma = np.concatenate([r["ma"] for r in recs], axis=0)
     return recs, ev.aggregate_runs(ma, threshold=cfg.threshold)
 

@@ -185,6 +185,28 @@ def test_dp_run_transforms_at_the_next_5_smooth_length(monkeypatch, n_frame, n_o
         assert length % 2 == 1
 
 
+@pytest.mark.parametrize("beta_cd", [1470.0, -1470.0])
+def test_dispersion_delays_a_tone_by_its_group_delay(beta_cd):
+    # numpy's transform is X(f) = sum x e^{-j 2 pi f t}, so a delay tau
+    # multiplies X(f) by e^{-j 2 pi f tau}, and the dispersion phase
+    # -2 pi^2 beta L f^2 delays frequency f by tau = 2 pi beta L f (Agrawal's
+    # fibre convention written for this transform sign).  With beta < 0, as
+    # the default -26 ps^2/km, +f0 arrives before -f0.  The expected delay
+    # is computed here from the config, not from dp_phases.
+    cfg = _dp(snr_db=np.inf, gamma_hv=0.0, phi_iq=0.0, d_pmd=0.0, beta_cd=beta_cd,
+              l_cd=1.0, n_frame=5_000)
+    fs = cfg.n_os * cfg.symbol_rate
+    t, t0 = np.arange(20_000), 5_000
+    for f0 in (30e9, -30e9):
+        tx = np.zeros((2, t.size), dtype=np.complex128)
+        tx[0] = np.exp(-0.5 * ((t - t0) / 200.0) ** 2 + 2j * np.pi * f0 * t / fs)
+        power = np.abs(ch.dp_run(tx, cfg, np.random.default_rng(0))[0]) ** 2
+        delay = np.sum(t * power) / np.sum(power) - t0  # the envelope's centre, samples
+        tau = 2 * np.pi * beta_cd * cfg.l_cd * 1e-24 * f0 * fs
+        assert abs(tau) == pytest.approx(49.9, abs=0.1)
+        assert delay == pytest.approx(tau, abs=1.0)
+
+
 def test_dp_run_time_varying_changes_frames():
     rng = np.random.default_rng(5)
     n = 8_000

@@ -36,10 +36,9 @@ def test_from_dict_validation():
 
 
 def test_effective_nu_override():
-    cfg = config.ExperimentConfig(seed=1, m=64, nu=0.5, entropy=5.72)
+    cfg = config.ExperimentConfig(seed=1, m=64, entropy=5.72)
     assert abs(cfg.effective_nu() - 0.0271) < 1e-3
-    cfg = config.ExperimentConfig(seed=1, m=64, nu=0.5)
-    assert cfg.effective_nu() == 0.5
+    assert config.ExperimentConfig(seed=1, m=64).effective_nu() == 0.0
 
 
 def test_n_pol_property():
@@ -81,17 +80,17 @@ TINY = config.ExperimentConfig(
 
 
 def test_run_single_record_shapes():
-    rec = config.run_single(TINY, 0, TINY.seed, 0)
+    rec = config.run_single(TINY, 0, 0)
     assert rec["frame_ser"].shape == (1, 3)
     assert rec["ma"].shape == (1, 2)
     assert np.all((rec["frame_ser"] >= 0) & (rec["frame_ser"] <= 1))
-    again = config.run_single(TINY, 0, TINY.seed, 0)
+    again = config.run_single(TINY, 0, 0)
     assert np.array_equal(rec["frame_ser"], again["frame_ser"])
 
 
 def test_run_single_vae_records_extras():
     cfg = replace(TINY, kind="VAE-LE", batch_symbols=150, n_ind=2)
-    rec = config.run_single(cfg, 0, cfg.seed, 0)
+    rec = config.run_single(cfg, 0, 0)
     assert "snr_est_db" in rec and rec["snr_est_db"].shape == (2,)
     assert "ip_nmse_db" in rec and np.isfinite(rec["ip_nmse_db"])
 
@@ -104,7 +103,7 @@ def test_run_single_scores_shaped_channel_estimate():
         seed=1, variant="awgn_isi", shaping="rrc", snr_db=float("inf"), m=4,
         kind="VAE-LE", taps=25, batch_symbols=350, lr=5e-3, n_frame=5_000,
         n_ind=10, ma_window=1)
-    rec = config.run_single(cfg, 0, cfg.seed, 0)
+    rec = config.run_single(cfg, 0, 0)
     assert rec["frame_ser"][0, -1] == 0.0
     assert rec["ip_nmse_db"] <= -30.0
 
@@ -308,6 +307,9 @@ def test_cli_rejects_bad_worker_count(tmp_path, capsys, monkeypatch, argv):
     {"kind": "VAE-LE", "batch_symbols": 5},             # 10 samples, 11 channel taps
     {"kind": "VAE-NN", "ch_taps": 21, "batch_symbols": 10},
     {"kind": "VAEflex", "flex_symbols": 1, "sweep": {"batch_symbols": [300, 5]}},
+    {"kind": "MMSE-genie", "taps": -11},               # a negative edge trim
+    {"kind": "MMSE-genie", "taps": 12},
+    {"kind": "VAE-NN", "k1": -3},                      # odd, but no layer-1 kernel
 ])
 def test_cli_rejects_mid_run_failures_at_load(tmp_path, capsys, monkeypatch, bad):
     def no_run(*args):
@@ -330,7 +332,7 @@ def test_vae_batch_as_long_as_the_channel_model_runs(kind):
     # 12 samples against 11 channel taps leave the loss one sample per batch
     cfg = config.from_dict({"seed": 1, "kind": kind, "m": 16, "taps": 11, "n_frame": 1000,
                             "n_ind": 2, "ma_window": 1, "batch_symbols": 6})
-    rec = config.run_single(cfg, 0, cfg.seed, 0)
+    rec = config.run_single(cfg, 0, 0)
     assert np.all(np.isfinite(rec["snr_est_db"]))
     assert np.all((rec["frame_ser"] >= 0) & (rec["frame_ser"] <= 1))
 

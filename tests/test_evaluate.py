@@ -24,6 +24,9 @@ def test_aggregate_runs():
     assert rep.n_success == 2 and rep.n_fail == 1
     # the mean of the successful traces is [0.45, 0.225, 0.2]
     assert rep.final_ser == pytest.approx(0.2)
+    # the minimum of the successful mean [0.45, 0.15, 0.25], not its last value
+    dip = ev.aggregate_runs(np.array([[0.5, 0.1, 0.2], [0.4, 0.2, 0.3]]), threshold=0.3)
+    assert dip.final_ser == pytest.approx(0.15)
     all_fail = ev.aggregate_runs(np.full((2, 3), 0.9), threshold=0.3)
     assert all_fail.final_ser == 1.0 and all_fail.n_success == 0
 
