@@ -35,9 +35,16 @@ def noise_sigma_sq(samples: np.ndarray, n_os: int, snr_db: float) -> float:
 
 
 def add_awgn(samples: np.ndarray, sigma_sq: float, rng: np.random.Generator) -> np.ndarray:
+    """``samples`` plus complex white Gaussian noise of variance sigma_sq, in a new array."""
+    return _add_noise(samples.astype(np.complex128), sigma_sq, rng)
+
+
+def _add_noise(out: np.ndarray, sigma_sq: float, rng: np.random.Generator) -> np.ndarray:
+    """Add complex white noise of variance sigma_sq to ``out`` in place, I draws first."""
     s = np.sqrt(sigma_sq / 2.0)
-    return samples + s * (rng.standard_normal(samples.shape)
-                          + 1j * rng.standard_normal(samples.shape))
+    out.real += s * rng.standard_normal(out.shape)
+    out.imag += s * rng.standard_normal(out.shape)
+    return out
 
 
 def oversampled_impulse_response(h_sim: np.ndarray, n_os: int,
@@ -61,7 +68,7 @@ def awgn_isi_apply(tx: np.ndarray, n_os: int, h_sim: np.ndarray, snr_db: float,
     """
     out = convolve_same(tx, oversampled_impulse_response(h_sim, n_os))
     if np.isfinite(snr_db):
-        out = add_awgn(out, noise_sigma_sq(out, n_os, snr_db), rng)
+        _add_noise(out, noise_sigma_sq(out, n_os, snr_db), rng)
     return out
 
 
@@ -94,7 +101,10 @@ def dp_apply(tx: np.ndarray, cfg, frame_index: int, diag: np.ndarray) -> np.ndar
     r = np.exp(-1j * cfg.phi_iq) * np.array([[c, s], [-s, c]])
     # einsum, not matmul: a (2, 2) @ (2, n) product goes to a threaded BLAS
     # zgemm, whose threads then compete with the receiver for the cores
-    y = np.fft.ifft(diag * np.fft.fft(np.einsum("pq,qn->pn", r, tx), axis=1), axis=1)
+    y = np.einsum("pq,qn->pn", r, tx)
+    np.fft.fft(y, axis=1, out=y)  # the transforms run in y's own buffer
+    y *= diag  # y times diag, not diag times y: the two can round differently
+    np.fft.ifft(y, axis=1, out=y)
     return np.einsum("qp,qn->pn", r, y)
 
 
@@ -110,7 +120,7 @@ def dp_run(tx: np.ndarray, cfg, rng: np.random.Generator, guard: int = 256) -> n
     (368 and 20,736 samples at the default frame), where the FFT is fast.
     Every frame has that length, so the frequency grid and the ``dp_phases``
     are built once; each frame then applies its own HV rotation.  Noise is
-    added once over the assembled streams, TE's draws before TM's.  Reads
+    added once over the assembled streams, in place, TE's draws before TM's.  Reads
     the ExperimentConfig's n_os, n_frame and snr_db, and what ``dp_apply``
     and ``dp_phases`` read.
     """
@@ -134,5 +144,5 @@ def dp_run(tx: np.ndarray, cfg, rng: np.random.Generator, guard: int = 256) -> n
     if np.isfinite(cfg.snr_db):
         sig = noise_sigma_sq(out, cfg.n_os, cfg.snr_db)
         for p in range(2):
-            out[p] = add_awgn(out[p], sig, rng)
+            _add_noise(out[p], sig, rng)
     return out

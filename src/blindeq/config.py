@@ -209,13 +209,13 @@ def _transmit(cfg: ExperimentConfig, c: modem.Constellation,
               rng: np.random.Generator):
     """The (pol, n_sym) symbol streams and the (pol, n_sym n_os) pulse-shaped
     sample streams, filled one pol at a time."""
-    tx_sym = np.stack([modem.sample_symbols(c, cfg.n_ind * cfg.n_frame, rng)
-                       for _ in range(cfg.n_pol)])
-    rrc = _pulse(cfg)
-    tx_sig = np.empty((cfg.n_pol, tx_sym.shape[1] * cfg.n_os), dtype=np.complex128)
-    for p, s in enumerate(tx_sym):
-        tx_sig[p] = (sigproc.upsample_zero_insert(s, cfg.n_os) if rrc is None
-                     else sigproc.shape(s, rrc, cfg.n_os))
+    n_sym, rrc = cfg.n_ind * cfg.n_frame, _pulse(cfg)
+    tx_sym = np.empty((cfg.n_pol, n_sym), dtype=np.complex128)
+    tx_sig = np.empty((cfg.n_pol, n_sym * cfg.n_os), dtype=np.complex128)
+    for p in range(cfg.n_pol):  # shaping draws nothing: pol 0's symbols still come first
+        tx_sym[p] = modem.sample_symbols(c, n_sym, rng)
+        tx_sig[p] = (sigproc.upsample_zero_insert(tx_sym[p], cfg.n_os) if rrc is None
+                     else sigproc.shape(tx_sym[p], rrc, cfg.n_os))
     return tx_sym, tx_sig
 
 
@@ -272,6 +272,7 @@ def run_single(cfg: ExperimentConfig, run_idx: int, sweep_idx: int) -> dict:
     c = modem.build_constellation(cfg.m, cfg.effective_nu())
     tx_sym, tx_sig = _transmit(cfg, c, rng)
     rx = _propagate(cfg, tx_sig, rng)
+    del tx_sig  # a run holds its tx symbols, rx and the equalizer output, not these
     t0 = time.perf_counter()
     res = _equalize(cfg, rx, c, tx_sym, rng)
     wall = time.perf_counter() - t0

@@ -106,9 +106,12 @@ def cma_block(taps_mat: np.ndarray, w: np.ndarray, r2: float, mu: float = 0.0):
     return out, err
 
 
-def _unit_power(rx: np.ndarray) -> np.ndarray:
+def _unit_power(rx: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """rx / sqrt(power) in a new ``padded`` buffer: (buffer, interior)."""
     p = np.mean(np.abs(rx) ** 2)
-    return rx / np.sqrt(p) if p > 0 else rx
+    pad, inner = padded(rx.shape[0], rx.shape[1], k, np.complex128)
+    np.divide(rx, np.sqrt(p) if p > 0 else 1.0, out=inner)
+    return pad, inner
 
 
 def lr_schedule(k: int, eps0: float) -> float:
@@ -134,12 +137,12 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
     ``ExperimentConfig`` checks n_batch and n_flex >= 1 at load; n_flex = 0
     is not an update period, and fails here with a raw ValueError.
     """
-    rx = _unit_power(rx)
+    pad, _ = _unit_power(rx, n_taps)
     pol = rx.shape[0]
     r2 = godard_radius(c)
     taps = dirac_taps(pol, n_taps)
     taps_mat = taps.reshape(pol, pol * n_taps)  # a view: its updates reach taps
-    win = windows(rx, n_taps, sps).transpose(1, 0, 2)    # (n_sym, pol, F)
+    win = window_view(pad, n_taps, sps).transpose(1, 0, 2)    # (n_sym, pol, F)
     n_sym = win.shape[0]
     out = np.empty((pol, n_sym), dtype=np.complex128)
     symbolwise = n_batch == n_flex == 1  # cma_block then applies every update itself
@@ -202,14 +205,14 @@ def viterbi_viterbi_cpe(x: np.ndarray, window: int) -> np.ndarray:
     downstream resolution.  x is (pol, n), each row estimated on its own.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        z = window_means(np.pad(x ** 4, ((0, 0), (window // 2, window // 2))), window)
-        phi4 = np.unwrap(np.angle(-z), axis=-1)
+        phi4 = np.unwrap(np.angle(-window_means(  # one expression: no temporary outlives its step
+            np.pad(x ** 4, ((0, 0), (window // 2, window // 2))), window)), axis=-1)
         return x * np.exp(-0.25j * phi4)
 
 
 # the MMSE genie's ridge on the Gram matrix, its symbol-delay search range,
-# and the window rows it copies at a time (chosen by measurement)
-_MMSE_RIDGE, _MMSE_MAX_DELAY, _MMSE_BLOCK = 1e-12, 4, 2048
+# and the window rows it copies at a time (512-4,096 ran alike; 512 holds least)
+_MMSE_RIDGE, _MMSE_MAX_DELAY, _MMSE_BLOCK = 1e-12, 4, 512
 
 
 def mmse_baseline(rx: np.ndarray, tx: np.ndarray, n_taps: int, sps: int):
@@ -687,12 +690,13 @@ def run_vae(rx: np.ndarray, c: Constellation, state, n_b: int, n_flex: int,
     the unit-energy constellation fed to the demapper.
     """
     n_os = state.n_os
-    rx = _unit_power(rx) / np.sqrt(n_os)
+    is_le = isinstance(state, VaeLeState)
+    pad, rx = _unit_power(rx, state.f_eq if is_le else 1)
+    rx /= np.sqrt(n_os)  # after the power: the division order of rx / sqrt(p) / sqrt(n_os)
     n_sym = rx.shape[1] // n_os
     out = np.zeros((state.n_pol, n_sym), dtype=np.complex128)
-    is_le = isinstance(state, VaeLeState)
     if is_le:
-        win = windows(rx, state.f_eq, n_os).transpose(1, 0, 2)  # (n_sym, pol, F)
+        win = window_view(pad, state.f_eq, n_os).transpose(1, 0, 2)  # (n_sym, pol, F)
     ctx = LossContext(state.n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2, c)
     traj = []
     t = 0

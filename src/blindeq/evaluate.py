@@ -68,11 +68,10 @@ def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
         x_hat = x_hat * (np.mean(np.abs(ref)) / amp)
     n = ref.shape[0]
     ref_iq = np.stack([ref.real, ref.imag])
-    z = [x_hat * _ROTATIONS[0], x_hat * _ROTATIONS[1]]
-    dec = np.empty((8, n), dtype=np.intp)
-    for k, v in enumerate(z + [-z[0], -z[1]]):
-        dec[2 * k], dec[2 * k + 1] = map_decide(v, c, sigma_sq)
-    dec = c.levels[dec]
+    dec = np.empty((8, n))  # the decided levels of x, x w, -x, -x w, one at a time
+    for k in range(4):
+        v = x_hat * _ROTATIONS[k % 2]
+        dec[2 * k: 2 * k + 2] = c.levels[np.stack(map_decide(-v if k >= 2 else v, c, sigma_sq))]
     best = None
     for s in _candidate_shifts(x_hat, ref, max_shift):
         lo_hat, lo_ref = max(s, 0) + edge_trim, max(-s, 0) + edge_trim

@@ -81,10 +81,11 @@ def nu_for_entropy(m: int, h_target: float, tol: float = 1e-9) -> float:
 
 
 def sample_symbols(c: Constellation, n: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. symbols at 1 sample/symbol, I and Q drawn independently."""
-    i_lev = rng.choice(c.n_levels, size=n, p=c.prior)
-    q_lev = rng.choice(c.n_levels, size=n, p=c.prior)
-    return c.levels[i_lev] + 1j * c.levels[q_lev]
+    """i.i.d. symbols at 1 sample/symbol, I and Q drawn independently, I first."""
+    out = np.empty(n, dtype=np.complex128)
+    out.real = c.levels[rng.choice(c.n_levels, size=n, p=c.prior)]
+    out.imag = c.levels[rng.choice(c.n_levels, size=n, p=c.prior)]
+    return out
 
 
 def decision_boundaries(c: Constellation, sigma_sq: float) -> np.ndarray:

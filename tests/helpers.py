@@ -5,8 +5,8 @@ gradients, the per-array Adam that the one-buffer Adam is checked against,
 the genie reference's level indices, the exhaustive ambiguity search that
 evaluate's is checked against, a stream-level butterfly filter, the
 convolution-mean carrier phase estimator, the MMSE genie's direct solve,
-the dual-polarization link's per-bin 2x2 matrix and the closed-form QAM
-SER."""
+the dual-polarization link's per-bin 2x2 matrix, the channels' noise as
+one expression and the closed-form QAM SER."""
 
 from __future__ import annotations
 
@@ -407,6 +407,16 @@ def dp_channel_matrix(diag: np.ndarray, cfg, gamma: float) -> np.ndarray:
     r = np.exp(-1j * cfg.phi_iq) * np.array([[c, s], [-s, c]])
     # h[i, q, k] = sum_p r[p, i] diag[p, k] r[p, q]
     return np.einsum("pi,pk,pq->iqk", r, diag, r)
+
+
+def add_awgn_expression(samples: np.ndarray, sigma_sq: float,
+                        rng: np.random.Generator) -> np.ndarray:
+    """samples + s (a + 1j b), s = sqrt(sigma_sq / 2), with a the I draws and b
+    the Q draws: the noise as one expression, a new array, the reference
+    for the channels' in-place noise."""
+    s = np.sqrt(sigma_sq / 2.0)
+    return samples + s * (rng.standard_normal(samples.shape)
+                          + 1j * rng.standard_normal(samples.shape))
 
 
 def qam_awgn_ser(m: int, snr_db: float) -> float:

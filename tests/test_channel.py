@@ -1,13 +1,15 @@
 """Channel models: noise calibration, the ISI test channels, and the
 dual-polarization frequency-domain channel."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from blindeq import channel as ch
 from blindeq import modem, sigproc
 from blindeq.config import ExperimentConfig
-from helpers import dp_channel_matrix
+from helpers import add_awgn_expression, dp_channel_matrix
 
 
 def _dp(**kw) -> ExperimentConfig:
@@ -34,6 +36,44 @@ def test_add_awgn_statistics():
     assert abs(np.var(out.real) - 0.02) < 5e-4
     assert abs(np.var(out.imag) - 0.02) < 5e-4
     assert abs(np.mean(out)) < 1e-3
+
+
+def test_add_awgn_leaves_its_argument_unchanged():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(1_000) + 1j * rng.standard_normal(1_000)
+    before = x.copy()
+    y = ch.add_awgn(x, 0.1, np.random.default_rng(3))
+    assert x.tobytes() == before.tobytes() and not np.shares_memory(x, y)
+    assert y.tobytes() == add_awgn_expression(x, 0.1, np.random.default_rng(3)).tobytes()
+
+
+def _shaped_streams(rng: np.random.Generator, n_pol: int) -> np.ndarray:
+    c = modem.build_constellation(16, 0.0)
+    rrc = sigproc.rrc_taps(0.1, 32, 2)
+    return np.stack([sigproc.shape(modem.sample_symbols(c, 3_000, rng), rrc, 2)
+                     for _ in range(n_pol)])
+
+
+def test_awgn_isi_noise_in_place_is_the_expression_bit_for_bit():
+    # the channel adds its noise into the stream it owns, with the draws
+    # and the result of the one-expression sum
+    tx = _shaped_streams(np.random.default_rng(6), 1)[0]
+    clean = ch.awgn_isi_apply(tx, 2, ch.H_SIM, np.inf, None)
+    want = add_awgn_expression(clean, ch.noise_sigma_sq(clean, 2, 17.0),
+                               np.random.default_rng(7))
+    got = ch.awgn_isi_apply(tx, 2, ch.H_SIM, 17.0, np.random.default_rng(7))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_dp_run_noise_in_place_is_the_expression_bit_for_bit():
+    # the same on the DP link, TE's draws before TM's, at one noise variance
+    tx = _shaped_streams(np.random.default_rng(8), 2)
+    cfg = _dp(snr_db=17.0, n_frame=1_000, dgamma_hv=9e4)
+    clean = ch.dp_run(tx, replace(cfg, snr_db=np.inf), None)
+    sig, draws = ch.noise_sigma_sq(clean, cfg.n_os, cfg.snr_db), np.random.default_rng(9)
+    want = np.stack([add_awgn_expression(row, sig, draws) for row in clean])
+    got = ch.dp_run(tx, cfg, np.random.default_rng(9))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_oversampled_impulse_response():

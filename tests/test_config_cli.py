@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -106,6 +107,27 @@ def test_run_single_scores_shaped_channel_estimate():
     rec = config.run_single(cfg, 0, 0)
     assert rec["frame_ser"][0, -1] == 0.0
     assert rec["ip_nmse_db"] <= -30.0
+
+
+@pytest.mark.parametrize("variant, kind", [("awgn_isi", "VAE-LE"), ("awgn_isi", "MMSE-genie"),
+                                           ("dp_optical", "VAE-LE"), ("dp_optical", "CMA")])
+def test_run_single_peak_allocation_is_a_few_streams(variant, kind):
+    # a run holds its tx symbols, one received stream, the equalizer's one
+    # normalized copy and its output; the rest is bounded by a frame or a
+    # block.  So the traced peak stays under 4.5 (pol, n) sample streams.
+    # These cases read 3.5-4.1; they read 5.1-9.7 when the transmitted
+    # samples lived through the run, the stages copied the streams they
+    # read and the MMSE genie copied 2,048 window rows at a time.
+    cfg = replace(TINY, variant=variant, kind=kind, batch_symbols=200, n_ind=20)
+    config.run_single(cfg, 0, 0)  # the lazy imports and caches, untraced
+    tracemalloc.start()
+    try:
+        config.run_single(cfg, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stream = cfg.n_pol * cfg.n_ind * cfg.n_frame * cfg.n_os * 16  # complex128 bytes
+    assert peak < 4.5 * stream, f"peak {peak / stream:.2f} streams"
 
 
 def test_run_experiment_outputs(tmp_path):

@@ -260,8 +260,9 @@ def _mmse_link(n_sym: int, sps: int, snr_db: float, seed: int):
     return ch.awgn_isi_apply(tx, sps, ch.H_SIM, snr_db, rng), s
 
 
-# below one block, exactly two blocks, and two blocks and a partial third
-@pytest.mark.parametrize("n_sym", [1000, 2 * eq._MMSE_BLOCK, 2 * eq._MMSE_BLOCK + 1234])
+# at 512-row blocks: below one block, one block and a partial second, exactly
+# eight blocks, and ten blocks and a partial eleventh
+@pytest.mark.parametrize("n_sym", [300, 1000, 4096, 5330])
 @pytest.mark.parametrize("sps", [1, 2])
 @pytest.mark.parametrize("n_taps", [21, 40])
 @pytest.mark.parametrize("snr_db", [np.inf, 20.0])
@@ -607,16 +608,30 @@ def test_run_vae_covers_tail():
     assert res.sigma_traj.shape == (4, 2)
     # the 50-symbol tail is the final filters over the whole normalized
     # stream, so its first symbols see the samples before it, not zeros
-    rxn = eq._unit_power(rx[None, :]) / np.sqrt(2)
+    rxn = eq._unit_power(rx[None, :], 1)[1] / np.sqrt(2)
     full = butterfly_apply(rxn, state.eq[:, :, ::-1], stride=2)
     assert np.allclose(res.out[:, 1_000:], full[:, 1_000:], rtol=0, atol=1e-12)
     # a stream shorter than one batch is all tail, at the initial filters
     short = eq.VaeLeState(1, 2, f_eq=7, f_ch=7, matched_demapper=True)
     res = eq.run_vae(rx[None, :400], c, short, 250, 250, 1e-3, False, n_frame=10_000)
-    ref = butterfly_apply(eq._unit_power(rx[None, :400]) / np.sqrt(2),
+    ref = butterfly_apply(eq._unit_power(rx[None, :400], 1)[1] / np.sqrt(2),
                              short.eq[:, :, ::-1], stride=2)
     assert res.sigma_traj.size == 0
     assert np.allclose(res.out, ref, rtol=0, atol=1e-12)
+
+
+def test_unit_power_is_one_padded_copy():
+    # the receivers read their input from the interior of one zero-padded
+    # copy, divided by the root of the power
+    rng = np.random.default_rng(13)
+    rx = rng.standard_normal((2, 500)) + 1j * rng.standard_normal((2, 500))
+    before = rx.copy()
+    pad, inner = eq._unit_power(rx, 7)
+    assert rx.tobytes() == before.tobytes()
+    want = rx / np.sqrt(np.mean(np.abs(rx) ** 2))
+    assert inner.tobytes() == want.tobytes()
+    assert pad.shape == (2, 506) and np.shares_memory(pad, inner)
+    assert not pad[:, :3].any() and not pad[:, -3:].any()
 
 
 @pytest.mark.parametrize("pol", [1, 2])
@@ -632,7 +647,7 @@ def test_run_vae_nn_covers_tail(pol):
     assert np.count_nonzero(res.out == 0) == 0
     # the 50-symbol tail of each pol is the decoder's E_Q[x] at the final
     # weights over the stream's last 350 symbols
-    rxn = eq._unit_power(rx) / np.sqrt(2)
+    rxn = eq._unit_power(rx, 1)[1] / np.sqrt(2)
     z, _ = eq.vae_nn_forward(rxn[:, 100:], state)
     ex = c.levels @ eq.softmax_groups(z)[0]
     tail = ex[:, 0] + 1j * ex[:, 1]
