@@ -34,11 +34,6 @@ def noise_sigma_sq(samples: np.ndarray, n_os: int, snr_db: float) -> float:
     return p_rx * n_os * 10.0 ** (-snr_db / 10.0)
 
 
-def add_awgn(samples: np.ndarray, sigma_sq: float, rng: np.random.Generator) -> np.ndarray:
-    """``samples`` plus complex white Gaussian noise of variance sigma_sq, in a new array."""
-    return _add_noise(samples.astype(np.complex128), sigma_sq, rng)
-
-
 def _add_noise(out: np.ndarray, sigma_sq: float, rng: np.random.Generator) -> np.ndarray:
     """Add complex white noise of variance sigma_sq to ``out`` in place, I draws first."""
     s = np.sqrt(sigma_sq / 2.0)
@@ -47,16 +42,11 @@ def _add_noise(out: np.ndarray, sigma_sq: float, rng: np.random.Generator) -> np
     return out
 
 
-def oversampled_impulse_response(h_sim: np.ndarray, n_os: int,
-                                 rrc: np.ndarray | None = None) -> np.ndarray:
-    """Zero-insert the symbol-spaced taps to n_os sps (unit norm) and, when a
-    pulse is given, interpolate by convolving with it."""
+def oversampled_impulse_response(h_sim: np.ndarray, n_os: int) -> np.ndarray:
+    """Zero-insert the symbol-spaced taps to n_os sps, at unit norm."""
     h = np.zeros(n_os * (len(h_sim) - 1) + 1, dtype=np.complex128)
     h[::n_os] = h_sim
-    h = h / np.linalg.norm(h)
-    if rrc is not None:
-        h = np.convolve(h, rrc)
-    return h
+    return h / np.linalg.norm(h)
 
 
 def awgn_isi_apply(tx: np.ndarray, n_os: int, h_sim: np.ndarray, snr_db: float,

@@ -101,8 +101,7 @@ def main(argv=None) -> int:
                          if getattr(args, k) is not None}
             if "n_ind" in overrides:
                 overrides["ma_window"] = min(cfg.ma_window, overrides["n_ind"])
-            if overrides:
-                cfg = replace(cfg, **overrides)
+            cfg = replace(cfg, **overrides)
         result = run_experiment(cfg, args.out, workers=args.workers)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

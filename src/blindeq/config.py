@@ -198,24 +198,24 @@ def _edge_trim(cfg: ExperimentConfig) -> int:
     return cfg.taps + (len(ch.H_SIMS[cfg.h_sim]) if cfg.variant == "awgn_isi" else 20)
 
 
-def _pulse(cfg: ExperimentConfig) -> np.ndarray | None:
-    """The RRC taps of a shaped link, None for zero insertion."""
+def _pulse(cfg: ExperimentConfig) -> np.ndarray:
+    """The transmit pulse: the RRC taps of a shaped link, one unit tap (zero
+    insertion) for an unshaped one."""
     if cfg.shaping == "rrc":
         return sigproc.rrc_taps(cfg.rolloff, cfg.rrc_span, cfg.n_os)
-    return None
+    return np.ones(1)
 
 
 def _transmit(cfg: ExperimentConfig, c: modem.Constellation,
               rng: np.random.Generator):
     """The (pol, n_sym) symbol streams and the (pol, n_sym n_os) pulse-shaped
     sample streams, filled one pol at a time."""
-    n_sym, rrc = cfg.n_ind * cfg.n_frame, _pulse(cfg)
+    n_sym, pulse = cfg.n_ind * cfg.n_frame, _pulse(cfg)
     tx_sym = np.empty((cfg.n_pol, n_sym), dtype=np.complex128)
     tx_sig = np.empty((cfg.n_pol, n_sym * cfg.n_os), dtype=np.complex128)
     for p in range(cfg.n_pol):  # shaping draws nothing: pol 0's symbols still come first
         tx_sym[p] = modem.sample_symbols(c, n_sym, rng)
-        tx_sig[p] = (sigproc.upsample_zero_insert(tx_sym[p], cfg.n_os) if rrc is None
-                     else sigproc.shape(tx_sym[p], rrc, cfg.n_os))
+        tx_sig[p] = sigproc.shape(tx_sym[p], pulse, cfg.n_os)
     return tx_sym, tx_sig
 
 
@@ -299,8 +299,8 @@ def run_single(cfg: ExperimentConfig, run_idx: int, sweep_idx: int) -> dict:
         record["snr_est_db"] = ev.snr_report(sig_frames)
         if cfg.variant == "awgn_isi":
             # the channel model learns the pulse convolved with the channel
-            h_true = ch.oversampled_impulse_response(ch.H_SIMS[cfg.h_sim], cfg.n_os,
-                                                     _pulse(cfg))
+            h_true = np.convolve(ch.oversampled_impulse_response(ch.H_SIMS[cfg.h_sim],
+                                                                 cfg.n_os), _pulse(cfg))
             record["ip_nmse_db"] = ev.ip_nmse_db(res.ch_taps[0, 0], h_true)
     return record
 
@@ -311,8 +311,6 @@ def run_single(cfg: ExperimentConfig, run_idx: int, sweep_idx: int) -> dict:
 
 def sweep_points(cfg: ExperimentConfig):
     """Cartesian product of the sweep axes, applied over the base config."""
-    if not cfg.sweep:
-        return [replace(cfg, sweep={})]
     keys = sorted(cfg.sweep)
     points = [dict()]
     for k in keys:

@@ -178,16 +178,18 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
                 taps_mat += mu * (dirs.sum(axis=0) / n_batch)
                 update += n_flex
             lo = hi
-    if pol == 1:
-        return out, taps, 0.0
-    corr = (_singularity_correlation(taps) if np.all(np.isfinite(taps))
-            else float("nan"))
-    return out, taps, corr
+    return out, taps, _singularity_correlation(taps)
 
 
 def _singularity_correlation(taps: np.ndarray) -> float:
     """Normalized correlation between the two output rows of (2, 2, F) taps;
-    values near 1 indicate both outputs converged to the same polarization."""
+    values near 1 indicate both outputs converged to the same polarization.
+    One polarization has no second row and reads 0.0; non-finite taps read
+    NaN, found before any arithmetic, which could warn on them."""
+    if taps.shape[0] == 1:
+        return 0.0
+    if not np.all(np.isfinite(taps)):
+        return float("nan")
     a = taps[0].ravel()
     b = taps[1].ravel()
     return float(np.abs(a @ np.conj(b)) / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-30))
@@ -335,9 +337,8 @@ class LossContext:
                  c: Constellation):
         self.table = np.stack([np.ones(c.n_levels), np.log(c.prior)])   # (2, sqrt(M))
         mask = np.ones(n)
-        if edge_trim:
-            mask[:edge_trim] = 0.0
-            mask[n - edge_trim:] = 0.0
+        mask[:edge_trim] = 0.0
+        mask[n - edge_trim:] = 0.0
         self.mask = mask
         self.n_eff = int(mask.sum())
         self.sym_mask = mask[::n_os, None]
@@ -722,7 +723,6 @@ def run_vae(rx: np.ndarray, c: Constellation, state, n_b: int, n_flex: int,
         z, _ = vae_nn_forward(rx[:, lo * n_os: n_sym * n_os], state)
         ex = c.levels @ softmax_groups(z)[0]
         out[:, t:] = (ex[:, 0] + 1j * ex[:, 1])[:, t - lo:]
-    corr = (_singularity_correlation(state.eq)
-            if is_le and state.n_pol == 2 else 0.0)
+    corr = _singularity_correlation(state.eq) if is_le else 0.0
     return EqualizerResult(out=out, sigma_traj=np.array(traj),
                            ch_taps=state.ch, singularity_corr=corr)

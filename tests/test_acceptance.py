@@ -17,8 +17,8 @@ from blindeq import equalize as eq
 from blindeq import evaluate as ev
 from blindeq import modem, sigproc
 from blindeq.config import ExperimentConfig
-from helpers import (LOSS_INSTANCES, max_gradient_error, primitive_cases, qam_awgn_ser,
-                     symbol_indices)
+from helpers import (LOSS_INSTANCES, add_awgn_expression, max_gradient_error, primitive_cases,
+                     qam_awgn_ser, symbol_indices)
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -220,7 +220,7 @@ def test_criterion_03_no_isi_ser():
         for snr in (12.0, 16.0, 20.0):
             s = modem.sample_symbols(c, n, rng)
             sig = 10.0 ** (-snr / 10.0)
-            y = ch.add_awgn(s, sig, rng)
+            y = add_awgn_expression(s, sig, rng)
             i, q = modem.map_decide(y, c, sig / 2.0)
             ri, rq = symbol_indices(c, s)
             p_hat = float(np.mean((i != ri) | (q != rq)))

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindeq import cli, config, modem
+from blindeq import cli, config, modem, sigproc
 from blindeq.errors import ConfigError
 
 
@@ -56,6 +56,8 @@ def test_sweep_points_cartesian():
     # sorted axis order: kind varies slowest
     assert [(p.kind, p.snr_db) for p in pts] == [
         ("CMA", 10.0), ("CMA", 20.0), ("VAE-LE", 10.0), ("VAE-LE", 20.0)]
+    # no sweep axes: the base config is the one point
+    assert config.sweep_points(replace(cfg, sweep={})) == [replace(cfg, sweep={})]
     with pytest.raises(ConfigError):
         config.sweep_points(config.ExperimentConfig(seed=1,
                                                     sweep={"snr_db": []}))
@@ -78,6 +80,15 @@ def test_load_config_yaml(tmp_path):
 TINY = config.ExperimentConfig(
     seed=11, variant="awgn_isi", snr_db=18.0, m=16, kind="CMA", taps=11,
     lr=2e-3, shaping="rrc", n_frame=1_000, n_ind=3, n_run=1, ma_window=2)
+
+
+def test_unshaped_link_transmits_zero_inserted_symbols():
+    # an unshaped link's pulse is one unit tap, and shaping with it is exact
+    cfg = replace(TINY, shaping="none")
+    assert config._pulse(cfg).tolist() == [1.0]
+    tx_sym, tx_sig = config._transmit(cfg, modem.build_constellation(cfg.m, 0.0),
+                                      np.random.default_rng(4))
+    assert tx_sig.tobytes() == sigproc.upsample_zero_insert(tx_sym[0], cfg.n_os).tobytes()
 
 
 def test_run_single_record_shapes():
@@ -426,6 +437,9 @@ def test_cli_recipe_runs_with_overrides(tmp_path, monkeypatch, capsys):
     for f in fields(recipe):
         if f.name not in ("n_ind", "n_run", "seed"):
             assert getattr(cfg, f.name) == getattr(recipe, f.name), f.name
+    # no override flags: the recipe itself runs
+    assert cli.main(["recipe", "dp-pcs", "--out", str(out)]) == 0
+    assert seen[-1] == recipe
 
 
 def test_cli_recipe_n_ind_caps_ma_window(tmp_path, monkeypatch):

@@ -13,9 +13,9 @@ from blindeq import equalize as eq
 from blindeq import evaluate as ev
 from blindeq import modem, sigproc
 from blindeq.errors import ConfigError
-from helpers import (AdamPerArray, butterfly_apply, dp_le_instance, max_gradient_error,
-                     mmse_baseline_direct, rel_err, vae_le_grads_softmax, vae_nn_forward_loop,
-                     symbol_indices, viterbi_viterbi_cpe_convolution)
+from helpers import (AdamPerArray, add_awgn_expression, butterfly_apply, dp_le_instance,
+                     max_gradient_error, mmse_baseline_direct, rel_err, vae_le_grads_softmax,
+                     vae_nn_forward_loop, symbol_indices, viterbi_viterbi_cpe_convolution)
 
 
 def test_godard_radius():
@@ -174,6 +174,22 @@ def test_cma_run_divergence_flags_rest_of_stream():
         assert not np.all(np.isfinite(taps))
         assert np.all(np.isnan(out[:, 50:]))  # every symbol after frame 0
         assert np.isnan(corr)
+
+
+def test_singularity_correlation():
+    # a Dirac butterfly's rows are orthogonal and two identical rows coincide;
+    # one pol has no second row, and non-finite taps read NaN with no warning
+    assert eq._singularity_correlation(eq.dirac_taps(2, 5)) == 0.0
+    rng = np.random.default_rng(23)
+    row = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    assert abs(eq._singularity_correlation(np.stack([row, row])) - 1.0) < 1e-12
+    assert eq._singularity_correlation(eq.dirac_taps(1, 5)) == 0.0
+    for bad in (np.nan, np.inf):
+        taps = np.stack([row, row])
+        taps[1, 0, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(eq._singularity_correlation(taps))
 
 
 def test_lr_schedule():
@@ -579,8 +595,7 @@ def test_vae_le_step_learns_identity_channel():
     n_b = 200
     s = modem.sample_symbols(c, n_b + 24, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    rx = ch.add_awgn(tx, ch.noise_sigma_sq(tx, 2, 15.0),
-                     rng)[None, :]
+    rx = add_awgn_expression(tx, ch.noise_sigma_sq(tx, 2, 15.0), rng)[None, :]
     rx = rx / np.sqrt(np.mean(np.abs(rx) ** 2) * 2)  # unit symbol energy
     state = eq.VaeLeState(1, 2, f_eq=11, f_ch=11, matched_demapper=True)
     # the batch starts a few symbols in, so its windows see the samples around it
@@ -601,7 +616,7 @@ def test_run_vae_covers_tail():
     c = modem.build_constellation(4, 0.0)
     s = modem.sample_symbols(c, 1_050, rng)
     tx = sigproc.upsample_zero_insert(s, 2)
-    rx = ch.add_awgn(tx, ch.noise_sigma_sq(tx, 2, 18.0), rng)
+    rx = add_awgn_expression(tx, ch.noise_sigma_sq(tx, 2, 18.0), rng)
     state = eq.VaeLeState(1, 2, f_eq=7, f_ch=7, matched_demapper=True)
     res = eq.run_vae(rx[None, :], c, state, 250, 250, 1e-3, False, n_frame=10_000)
     assert res.out.shape == (1, 1_050)
@@ -640,7 +655,7 @@ def test_run_vae_nn_covers_tail(pol):
     c = modem.build_constellation(4, 0.0)
     tx = np.stack([sigproc.upsample_zero_insert(modem.sample_symbols(c, 400, rng), 2)
                    for _ in range(pol)])
-    rx = ch.add_awgn(tx, ch.noise_sigma_sq(tx, 2, 18.0), rng)
+    rx = add_awgn_expression(tx, ch.noise_sigma_sq(tx, 2, 18.0), rng)
     state = eq.VaeNnState(pol, 2, 4, k1=5, k2=3, f_ch=7, rng=rng, hidden=4)
     res = eq.run_vae(rx, c, state, 350, 350, 1e-3, False, n_frame=10_000)
     assert res.out.shape == (pol, 400) and res.sigma_traj.shape == (1, 2)
