@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sigproc import convolve_same, frequency_grid
+from .sigproc import convolve_same, frequency_grid, upsample_zero_insert
 
 # complex 5-tap ISI test channel (h1 in the literature)
 H_SIM = np.array([0.055 + 0.05j, 0.283 - 0.12j, -0.768 + 0.279j,
@@ -34,18 +34,21 @@ def noise_sigma_sq(samples: np.ndarray, n_os: int, snr_db: float) -> float:
     return p_rx * n_os * 10.0 ** (-snr_db / 10.0)
 
 
-def _add_noise(out: np.ndarray, sigma_sq: float, rng: np.random.Generator) -> np.ndarray:
-    """Add complex white noise of variance sigma_sq to ``out`` in place, I draws first."""
-    s = np.sqrt(sigma_sq / 2.0)
-    out.real += s * rng.standard_normal(out.shape)
-    out.imag += s * rng.standard_normal(out.shape)
-    return out
+def _add_noise(out: np.ndarray, n_os: int, snr_db: float, rng: np.random.Generator) -> None:
+    """Add the link's noise to the (pol, n) streams ``out`` in place: one
+    ``noise_sigma_sq`` over all pols, then pol by pol the I draws before the
+    Q draws.  A noiseless link (``snr_db`` inf) draws nothing."""
+    if not np.isfinite(snr_db):
+        return
+    s = np.sqrt(noise_sigma_sq(out, n_os, snr_db) / 2.0)
+    for row in out:
+        row.real += s * rng.standard_normal(row.shape)
+        row.imag += s * rng.standard_normal(row.shape)
 
 
 def oversampled_impulse_response(h_sim: np.ndarray, n_os: int) -> np.ndarray:
     """Zero-insert the symbol-spaced taps to n_os sps, at unit norm."""
-    h = np.zeros(n_os * (len(h_sim) - 1) + 1, dtype=np.complex128)
-    h[::n_os] = h_sim
+    h = upsample_zero_insert(h_sim, n_os)[: n_os * (len(h_sim) - 1) + 1]
     return h / np.linalg.norm(h)
 
 
@@ -57,8 +60,7 @@ def awgn_isi_apply(tx: np.ndarray, n_os: int, h_sim: np.ndarray, snr_db: float,
     h is h_sim zero-inserted to n_os sps, without interpolation.
     """
     out = convolve_same(tx, oversampled_impulse_response(h_sim, n_os))
-    if np.isfinite(snr_db):
-        _add_noise(out, noise_sigma_sq(out, n_os, snr_db), rng)
+    _add_noise(out[None], n_os, snr_db, rng)
     return out
 
 
@@ -131,8 +133,5 @@ def dp_run(tx: np.ndarray, cfg, rng: np.random.Generator, guard: int = 256) -> n
         glo, ghi = max(lo - guard, 0), min(hi + guard, n_tot)
         seg = np.pad(tx[:, glo:ghi], ((0, 0), (guard - (lo - glo), guard - (ghi - hi))))
         out[:, lo:hi] = dp_apply(seg, cfg, k, diag)[:, guard: guard + hi - lo]
-    if np.isfinite(cfg.snr_db):
-        sig = noise_sigma_sq(out, cfg.n_os, cfg.snr_db)
-        for p in range(2):
-            _add_noise(out[p], sig, rng)
+    _add_noise(out, cfg.n_os, cfg.snr_db, rng)
     return out

@@ -10,48 +10,31 @@ from dataclasses import replace
 from .config import ExperimentConfig, load_config, run_experiment
 from .errors import ConfigError
 
-# Preconfigured experiments.  Each is a full ExperimentConfig; n_ind and
-# n_run default to desk scale and can be raised from the command line.
+# The two link setups, and the preconfigured experiments as a setup, its
+# changes and a sweep; n_ind and n_run are at desk scale (see --n-ind).
+_ISI = ExperimentConfig(
+    seed=1, variant="awgn_isi", n_os=2, shaping="rrc", h_sim="h1", m=64,
+    kind="VAE-LE", taps=25, batch_symbols=350, lr=2e-3, scheduler=True,
+    n_ind=40, n_run=3, snr_db=20.0)
+_DP = ExperimentConfig(
+    seed=1, variant="dp_optical", n_os=2, shaping="rrc", m=64, kind="VAE-LE",
+    taps=25, batch_symbols=350, lr=0.5e-3, scheduler=True, n_ind=60, n_run=3,
+    snr_db=23.0, symbol_rate=90e9)
 RECIPES = {
-    "awgn-64qam": ExperimentConfig(
-        seed=1, variant="awgn_isi", n_os=2, shaping="rrc", h_sim="h1",
-        m=64, kind="VAE-LE", taps=25, batch_symbols=350, lr=2e-3,
-        scheduler=True, n_ind=40, n_run=3, snr_db=20.0,
-        sweep={"kind": ["VAE-LE", "CMA", "MMSE-genie"],
-               "snr_db": [16.0, 20.0, 24.0]}),
-    "awgn-pcs": ExperimentConfig(
-        seed=1, variant="awgn_isi", n_os=2, shaping="rrc", h_sim="h1",
-        m=64, entropy=5.72, kind="VAE-LE", taps=35,
-        batch_symbols=350, lr=2e-3, scheduler=True, n_ind=60, n_run=3,
-        snr_db=24.0, sweep={"kind": ["VAE-LE", "CMA", "MMSE-genie"],
-                            "snr_db": [20.0, 22.0, 24.0]}),
-    "awgn-h2": ExperimentConfig(
-        seed=1, variant="awgn_isi", n_os=2, shaping="rrc", h_sim="h2",
-        m=64, kind="VAE-LE", taps=25, batch_symbols=350, lr=2e-3,
-        scheduler=True, n_ind=40, n_run=3, snr_db=20.0,
-        sweep={"kind": ["VAE-LE", "CMA", "MMSE-genie"]}),
-    "dp-64qam": ExperimentConfig(
-        seed=1, variant="dp_optical", n_os=2, shaping="rrc", m=64,
-        kind="VAE-LE", taps=25, batch_symbols=350, lr=0.5e-3, scheduler=True,
-        n_ind=60, n_run=3, snr_db=23.0, symbol_rate=90e9,
-        sweep={"kind": ["VAE-LE", "CMA"], "symbol_rate": [40e9, 90e9]}),
-    "dp-pcs": ExperimentConfig(
-        seed=1, variant="dp_optical", n_os=2, shaping="rrc", m=64,
-        entropy=4.6, kind="VAE-LE", taps=25, batch_symbols=350, lr=0.5e-3,
-        scheduler=True, n_ind=60, n_run=3, snr_db=21.0,
-        sweep={"entropy": [5.72, 4.6, 4.125]}),
-    "dp-hyperparams": ExperimentConfig(
-        seed=1, variant="dp_optical", n_os=2, shaping="rrc", m=64,
-        kind="VAE-LE", taps=25, batch_symbols=350, lr=0.5e-3, scheduler=True,
-        n_ind=60, n_run=3, snr_db=23.0,
-        sweep={"batch_symbols": [150, 350, 600], "lr": [0.25e-3, 0.5e-3, 1e-3]}),
-    "dp-timevarying": ExperimentConfig(
-        seed=1, variant="dp_optical", n_os=2, shaping="rrc", m=64,
-        kind="VAEflex", taps=25, batch_symbols=100, flex_symbols=10,
-        lr=1e-3, scheduler=False, n_ind=20, n_run=3, snr_db=23.0,
-        dgamma_hv=9e4,
-        sweep={"kind": ["VAEflex", "CMA", "CMAflex"],
-               "dgamma_hv": [0.0, 4.5e4, 9e4]}),
+    "awgn-64qam": replace(_ISI, sweep={"kind": ["VAE-LE", "CMA", "MMSE-genie"],
+                                       "snr_db": [16.0, 20.0, 24.0]}),
+    "awgn-pcs": replace(_ISI, entropy=5.72, taps=35, n_ind=60, snr_db=24.0,
+                        sweep={"kind": ["VAE-LE", "CMA", "MMSE-genie"],
+                               "snr_db": [20.0, 22.0, 24.0]}),
+    "awgn-h2": replace(_ISI, h_sim="h2", sweep={"kind": ["VAE-LE", "CMA", "MMSE-genie"]}),
+    "dp-64qam": replace(_DP, sweep={"kind": ["VAE-LE", "CMA"], "symbol_rate": [40e9, 90e9]}),
+    "dp-pcs": replace(_DP, entropy=4.6, snr_db=21.0, sweep={"entropy": [5.72, 4.6, 4.125]}),
+    "dp-hyperparams": replace(_DP, sweep={"batch_symbols": [150, 350, 600],
+                                          "lr": [0.25e-3, 0.5e-3, 1e-3]}),
+    "dp-timevarying": replace(_DP, kind="VAEflex", batch_symbols=100, flex_symbols=10,
+                              lr=1e-3, scheduler=False, n_ind=20, dgamma_hv=9e4,
+                              sweep={"kind": ["VAEflex", "CMA", "CMAflex"],
+                                     "dgamma_hv": [0.0, 4.5e4, 9e4]}),
 }
 
 

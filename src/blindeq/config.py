@@ -330,7 +330,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> dic
     """
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"the worker count must be an integer >= 1, got {workers!r}")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out_dir}: {exc}") from exc
     points = sweep_points(cfg)
     jobs = [(pt, r, i) for i, pt in enumerate(points) for r in range(cfg.n_run)]
     t0 = time.perf_counter()

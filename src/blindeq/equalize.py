@@ -106,12 +106,14 @@ def cma_block(taps_mat: np.ndarray, w: np.ndarray, r2: float, mu: float = 0.0):
     return out, err
 
 
-def _unit_power(rx: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """rx / sqrt(power) in a new ``padded`` buffer: (buffer, interior)."""
+def _unit_power(rx: np.ndarray, k: int, sps: int) -> tuple[np.ndarray, np.ndarray]:
+    """rx / sqrt(power) in a new ``padded`` buffer: its interior and the
+    (n_sym, pol, k) windows of the buffer on the sps grid, a view that
+    follows later writes to the interior."""
     p = np.mean(np.abs(rx) ** 2)
     pad, inner = padded(rx.shape[0], rx.shape[1], k, np.complex128)
     np.divide(rx, np.sqrt(p) if p > 0 else 1.0, out=inner)
-    return pad, inner
+    return inner, window_view(pad, k, sps).transpose(1, 0, 2)
 
 
 def lr_schedule(k: int, eps0: float) -> float:
@@ -137,12 +139,11 @@ def cma_run(rx: np.ndarray, c: Constellation, n_taps: int, lr0: float, sps: int,
     ``ExperimentConfig`` checks n_batch and n_flex >= 1 at load; n_flex = 0
     is not an update period, and fails here with a raw ValueError.
     """
-    pad, _ = _unit_power(rx, n_taps)
+    _, win = _unit_power(rx, n_taps, sps)  # (n_sym, pol, F)
     pol = rx.shape[0]
     r2 = godard_radius(c)
     taps = dirac_taps(pol, n_taps)
     taps_mat = taps.reshape(pol, pol * n_taps)  # a view: its updates reach taps
-    win = window_view(pad, n_taps, sps).transpose(1, 0, 2)    # (n_sym, pol, F)
     n_sym = win.shape[0]
     out = np.empty((pol, n_sym), dtype=np.complex128)
     symbolwise = n_batch == n_flex == 1  # cma_block then applies every update itself
@@ -692,12 +693,10 @@ def run_vae(rx: np.ndarray, c: Constellation, state, n_b: int, n_flex: int,
     """
     n_os = state.n_os
     is_le = isinstance(state, VaeLeState)
-    pad, rx = _unit_power(rx, state.f_eq if is_le else 1)
+    rx, win = _unit_power(rx, state.f_eq if is_le else 1, n_os)  # win: (n_sym, pol, F)
     rx /= np.sqrt(n_os)  # after the power: the division order of rx / sqrt(p) / sqrt(n_os)
     n_sym = rx.shape[1] // n_os
     out = np.zeros((state.n_pol, n_sym), dtype=np.complex128)
-    if is_le:
-        win = window_view(pad, state.f_eq, n_os).transpose(1, 0, 2)  # (n_sym, pol, F)
     ctx = LossContext(state.n_pol, n_b * n_os, state.f_ch, n_os, state.f_ch // 2, c)
     traj = []
     t = 0

@@ -32,7 +32,10 @@ def test_noise_sigma_sq_convention():
 def test_add_awgn_statistics():
     rng = np.random.default_rng(0)
     n = 200_000
-    out = ch._add_noise(np.zeros(n, dtype=np.complex128), 0.04, rng)
+    # a unit-power stream at 1 sps and 10 log10(25) dB: sigma^2 = 0.04
+    out = np.ones((1, n), dtype=np.complex128)
+    ch._add_noise(out, 1, 10 * np.log10(25.0), rng)
+    out -= 1.0
     assert abs(np.var(out.real) - 0.02) < 5e-4
     assert abs(np.var(out.imag) - 0.02) < 5e-4
     assert abs(np.mean(out)) < 1e-3

@@ -261,6 +261,18 @@ def test_cli_rejects_bad_worker_count(tmp_path, capsys, monkeypatch, argv):
     assert "worker count" in capsys.readouterr().err
 
 
+def test_cli_out_that_is_a_file_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    # an --out that cannot be made a directory stops the run before it starts
+    def no_run(*args):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(config, "run_single", no_run)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli.main(["recipe", "awgn-h2", "--n-ind", "2", "--n-run", "1",
+                     "--out", str(out)]) == 2
+    assert "output directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", [
     {"ma_window": 4},                                  # more than n_ind = 3
     {"ma_window": 0},
