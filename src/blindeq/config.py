@@ -283,12 +283,13 @@ def run_single(cfg: ExperimentConfig, run_idx: int, sweep_idx: int) -> dict:
                   else np.full(cfg.n_ind, 10.0 ** (-cfg.snr_db / 10.0)))
 
     # run-level polarization pairing, then per-frame ambiguity resolution of
-    # the paired rows (a list index: a tuple picks out one element); MAP
-    # decisions see the per-component noise variance
-    pairing = ev.resolve_pol_pairing(res.out, tx_sym, c, float(sig_frames[-1]) / 2.0,
-                                     n_frame=cfg.n_frame)
+    # the paired rows (a list index: a tuple picks out one element), whose last
+    # frames the pairing has decided; MAP decisions see the per-component
+    # noise variance
+    pairing, last = ev.resolve_pol_pairing(res.out, tx_sym, c, float(sig_frames[-1]) / 2.0,
+                                           n_frame=cfg.n_frame)
     curves = ev.frame_ser_curve(res.out[list(pairing)], tx_sym, c, sig_frames / 2.0,
-                                cfg.n_frame, _edge_trim(cfg))
+                                cfg.n_frame, _edge_trim(cfg), last)
     record = {
         "frame_ser": curves,
         "ma": sigproc.window_means(curves, cfg.ma_window),

@@ -5,7 +5,7 @@ reshapes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,8 @@ class Alignment:
     rotation: int       # index into the 8 pi/4 rotations
     conjugate: bool
     ser: float
+    # the decided frame the alignment was chosen on, which re-scores at any trim
+    frame: DecidedFrame | None = field(default=None, compare=False, repr=False)
 
 
 # The I and Q decisions of x w^r, r = 0..7, then of conj(x) w^r, as rows of the
@@ -46,6 +48,40 @@ def _candidate_shifts(x_hat: np.ndarray, ref: np.ndarray, max_shift: int):
     return sorted(cands)
 
 
+@dataclass
+class DecidedFrame:
+    """One frame's MAP level indices and shift candidates, and a view of its
+    reference: all that scoring at an edge trim needs, and small to hold."""
+    dec: np.ndarray         # (8, n) level indices of the I and Q of x, x w, -x, -x w
+    levels: np.ndarray      # the constellation's levels
+    ref: np.ndarray         # (n,) the transmitted points
+    shifts: list[int]
+
+    def align(self, edge_trim: int) -> Alignment:
+        """The first minimum-SER alignment in the order (shift, conjugate,
+        rotation), scoring each shift's overlap less edge_trim at both ends."""
+        n = self.ref.shape[0]
+        dec = self.levels[self.dec]
+        ref_iq = np.stack([self.ref.real, self.ref.imag])
+        best = None
+        for s in self.shifts:
+            lo_hat, lo_ref = max(s, 0) + edge_trim, max(-s, 0) + edge_trim
+            length = n - abs(s) - 2 * edge_trim
+            if length <= 0:
+                continue
+            # (2, 8, length) misses against the I and Q reference, packed 8 symbols a byte
+            miss = np.packbits(dec[:, lo_hat: lo_hat + length]
+                               != ref_iq[:, None, lo_ref: lo_ref + length], axis=-1)
+            err = np.bitwise_count(miss[0, _DECISION_ROWS[:, 0]]
+                                   | miss[1, _DECISION_ROWS[:, 1]]).sum(axis=1)
+            k = int(np.argmin(err))
+            ser = int(err[k]) / length
+            if best is None or ser < best.ser:
+                best = Alignment(shift=s, rotation=k % 8, conjugate=k >= 8, ser=ser,
+                                 frame=self)
+        return best
+
+
 def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
                       sigma_sq: float, max_shift: int = 50,
                       edge_trim: int = 0) -> Alignment:
@@ -56,8 +92,10 @@ def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
     rotations and conjugation are searched exhaustively, the first minimum in
     the order (shift, conjugate, rotation) winning.  The estimate is
     amplitude-normalized to the reference before decisions, removing the
-    residual gain ambiguity of blind equalizers.  Only x, x w, -x and -x w are
-    decided (-x not mirrored from x, as 0 and NaN decide one-sided).
+    residual gain ambiguity of blind equalizers.  Only x and x w are decided:
+    the MAP boundaries are antisymmetric, so -x and -x w take the mirrored
+    levels, except at +-0 and NaN, which decide as x does.  The result's
+    ``frame`` re-scores the same decisions at another edge trim.
     The reference must be the transmitted constellation points: the decided
     levels are compared with its I and Q components as they are.  The zero
     shift always leaves symbols to score, as ``ExperimentConfig`` rejects
@@ -66,50 +104,61 @@ def resolve_ambiguity(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
     amp = np.mean(np.abs(x_hat))
     if amp > 0:
         x_hat = x_hat * (np.mean(np.abs(ref)) / amp)
-    n = ref.shape[0]
-    ref_iq = np.stack([ref.real, ref.imag])
-    dec = np.empty((8, n))  # the decided levels of x, x w, -x, -x w, one at a time
-    for k in range(4):
-        v = x_hat * _ROTATIONS[k % 2]
-        dec[2 * k: 2 * k + 2] = c.levels[np.stack(map_decide(-v if k >= 2 else v, c, sigma_sq))]
-    best = None
-    for s in _candidate_shifts(x_hat, ref, max_shift):
-        lo_hat, lo_ref = max(s, 0) + edge_trim, max(-s, 0) + edge_trim
-        length = n - abs(s) - 2 * edge_trim
-        if length <= 0:
-            continue
-        seg = dec[:, lo_hat: lo_hat + length]
-        miss_i, miss_q = seg != ref_iq[:, None, lo_ref: lo_ref + length]
-        err = np.count_nonzero(miss_i[_DECISION_ROWS[:, 0]] | miss_q[_DECISION_ROWS[:, 1]],
-                               axis=1)
-        k = int(np.argmin(err))
-        ser = int(err[k]) / length
-        if best is None or ser < best.ser:
-            best = Alignment(shift=s, rotation=k % 8, conjugate=k >= 8, ser=ser)
-    return best
+    # the level indices of x, x w, -x, -x w, in map_decide's index type
+    dec = np.empty((8, ref.shape[0]), dtype=np.min_scalar_type(c.n_levels - 1))
+    for k in range(2):
+        v = x_hat * _ROTATIONS[k]
+        plain, negated = dec[2 * k: 2 * k + 2], dec[4 + 2 * k: 6 + 2 * k]
+        plain[:] = map_decide(v, c, sigma_sq)
+        # -v takes v's mirrored index L - 1 - i, but +-0 and NaN decide as v does
+        np.subtract(c.n_levels - 1, plain, out=negated)
+        iq = np.stack([v.real, v.imag])
+        np.copyto(negated, plain, where=np.isnan(iq) | (iq == 0))
+    frame = DecidedFrame(dec, c.levels, ref, _candidate_shifts(x_hat, ref, max_shift))
+    return frame.align(edge_trim)
 
 
 def resolve_pol_pairing(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
-                        sigma_sq: float, n_frame: int) -> tuple[int, ...]:
+                        sigma_sq: float, n_frame: int
+                        ) -> tuple[tuple[int, ...], list[DecidedFrame] | None]:
     """Run-level polarization assignment (identity or swap), decided once on
-    the last frame by total minimum SER; a tie keeps the identity."""
+    the last frame by total minimum SER; a tie keeps the identity.  Returns
+    it with its rows' decided last frames, for ``frame_ser_curve`` to
+    re-score (None for one pol).  The second swap row is skipped once the
+    first reaches the identity total: SER >= 0, and a tie keeps the identity.
+    """
     if x_hat.shape[0] == 1:
-        return (0,)
-    costs = {perm: sum(resolve_ambiguity(x_hat[q, -n_frame:], ref[p, -n_frame:], c,
-                                         sigma_sq).ser for p, q in enumerate(perm))
-             for perm in ((0, 1), (1, 0))}
-    return min(costs, key=costs.get)
+        return (0,), None
+
+    def score(p, q):  # pol q's last frame against reference pol p
+        return resolve_ambiguity(x_hat[q, -n_frame:], ref[p, -n_frame:], c, sigma_sq)
+
+    identity = [score(0, 0), score(1, 1)]
+    total = identity[0].ser + identity[1].ser
+    swap = [score(0, 1)]
+    if swap[0].ser < total:
+        swap.append(score(1, 0))
+        if swap[0].ser + swap[1].ser < total:
+            return (1, 0), [a.frame for a in swap]
+    return (0, 1), [a.frame for a in identity]
 
 
 def frame_ser_curve(x_hat: np.ndarray, ref: np.ndarray, c: Constellation,
-                    sigma_sq: np.ndarray, n_frame: int, edge_trim: int) -> np.ndarray:
+                    sigma_sq: np.ndarray, n_frame: int, edge_trim: int,
+                    last: list[DecidedFrame] | None = None) -> np.ndarray:
     """Per-frame SER with per-frame ambiguity resolution of (..., n) streams,
     each row of x_hat scored against the same row of ref; sigma_sq holds one
-    decision variance per frame, shared by the rows.  Returns (..., n / n_frame)."""
+    decision variance per frame, shared by the rows.  ``last`` holds each
+    row's last frame as ``resolve_pol_pairing`` decided it, with the same
+    variance, and is only re-scored at the edge trim.
+    Returns (..., n / n_frame)."""
     sig = np.broadcast_to(sigma_sq, x_hat.shape[:-1] + sigma_sq.shape).ravel()
     frames = zip(x_hat.reshape(-1, n_frame), ref.reshape(-1, n_frame), sig, strict=True)
-    return np.array([resolve_ambiguity(h, r, c, float(s), edge_trim=edge_trim).ser
-                     for h, r, s in frames]).reshape(x_hat.shape[:-1] + (-1,))
+    n_ind = x_hat.shape[-1] // n_frame
+    return np.array([
+        last[i // n_ind].align(edge_trim).ser if last is not None and i % n_ind == n_ind - 1
+        else resolve_ambiguity(h, r, c, float(s), edge_trim=edge_trim).ser
+        for i, (h, r, s) in enumerate(frames)]).reshape(x_hat.shape[:-1] + (-1,))
 
 
 @dataclass

@@ -100,7 +100,8 @@ def decision_boundaries(c: Constellation, sigma_sq: float) -> np.ndarray:
 
 
 def map_decide(x_hat: np.ndarray, c: Constellation, sigma_sq: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component MAP hard decision; returns (I, Q) level index arrays.
+    """Per-component MAP hard decision; returns (I, Q) level index arrays,
+    of the narrowest unsigned type that holds the level count.
 
     Points exactly on a boundary go to the inner (smaller |A|) level.
     """
@@ -117,9 +118,10 @@ def _decide_component(v: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     # the level index is the count of boundaries below v; a hit counts as
     # below in the negative half and as above in the positive half, so it
     # goes to the inner level, +-0 hits the middle boundary and decides
-    # positive, and NaN (every negated comparison true) takes the top level
+    # positive, and NaN (every negated comparison true) takes the top level;
+    # counted in the narrowest unsigned type that holds the top index
     inner = (boundaries.shape[0] + 1) // 2  # first index of the non-negative levels
-    idx = np.zeros(v.shape, dtype=np.intp)
+    idx = np.zeros(v.shape, dtype=np.min_scalar_type(boundaries.shape[0]))
     for j, b in enumerate(boundaries):
         idx += ~(v < b) if j < inner else ~(v <= b)
     return idx

@@ -318,11 +318,24 @@ def candidate_shifts_full(x_hat, ref, max_shift):
     return sorted(cands)
 
 
+def _rotate(v, r):
+    """v w^r (w = e^{j pi/4}) as v w^(r % 2) times j^(r // 2), each j exact:
+    (u, v) -> (-v, u), the convention evaluate decides by, so that exact
+    MAP boundary hits stay exact (a product with e^{j pi / 2} would move
+    them by rounding)."""
+    v = v * _ROTATIONS[r % 2]
+    for _ in range(r // 2):
+        turned = np.empty_like(v)
+        turned.real, turned.imag = -v.imag, v.real
+        v = turned
+    return v
+
+
 def resolve_ambiguity_exhaustive(x_hat, ref, c, sigma_sq, max_shift=50,
                                  edge_trim=0):
     """evaluate.resolve_ambiguity by brute force: the shift candidates from
     the full-lag correlation, and one MAP decision pass per candidate shift,
-    conjugation and pi/4 rotation."""
+    conjugation and pi/4 rotation, with no decision mirrored."""
     amp = np.mean(np.abs(x_hat))
     if amp > 0:
         x_hat = x_hat * (np.mean(np.abs(ref)) / amp)
@@ -337,10 +350,10 @@ def resolve_ambiguity_exhaustive(x_hat, ref, c, sigma_sq, max_shift=50,
         seg = x_hat[lo_hat: lo_hat + length]
         ri, rq = ref_i[lo_ref: lo_ref + length], ref_q[lo_ref: lo_ref + length]
         for conj in (False, True):
-            base = np.conj(seg) if conj else seg
             for r in range(8):
-                i_idx, q_idx = modem.map_decide(base * _ROTATIONS[r], c,
-                                                sigma_sq)
+                # conj(x) w^r as conj(x w^-r), evaluate's convention
+                v = np.conj(_rotate(seg, -r % 8)) if conj else _rotate(seg, r)
+                i_idx, q_idx = modem.map_decide(v, c, sigma_sq)
                 ser = np.count_nonzero((i_idx != ri) | (q_idx != rq)) / length
                 if best is None or ser < best.ser:
                     best = ev.Alignment(shift=s, rotation=r, conjugate=conj,

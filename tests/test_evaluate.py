@@ -116,9 +116,9 @@ def test_candidate_shifts_match_full_correlation(n, max_shift):
 @given(st.sampled_from([4, 16, 64, 256]), st.sampled_from([0.0, 0.01, 0.05]),
        st.integers(0, 7), st.booleans(), st.integers(-12, 12),
        st.floats(0.005, 0.5), st.integers(0, 30), st.sampled_from([5, 50, 10_000]),
-       st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+       st.booleans(), st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_resolve_ambiguity_matches_exhaustive_search(
-        m, nu, rot, conj, shift, noise, edge_trim, max_shift, zeros, nans, seed):
+        m, nu, rot, conj, shift, noise, edge_trim, max_shift, zeros, nans, hits, seed):
     rng = np.random.default_rng(seed)
     c = modem.build_constellation(m, nu)
     n = int(rng.integers(100, 1_500))
@@ -131,11 +131,20 @@ def test_resolve_ambiguity_matches_exhaustive_search(
     if nans:    # e.g. a diverged receiver
         x[rng.integers(0, n):][:rng.integers(1, 50)] = np.nan
     s2 = noise ** 2 + 1e-3
+    if hits:    # I and Q components exactly on MAP boundaries, where -x's decisions
+        # mirror x's only by the hit rule; a NaN leaves the frame unnormalized
+        # (its mean amplitude is NaN), so the values reach the decisions exactly
+        b = modem.decision_boundaries(c, s2)
+        for comp in (x.real, x.imag):
+            comp[rng.integers(0, n, 40)] = rng.choice(np.concatenate([b, -b]), 40)
+        x[rng.integers(0, n)] = np.nan
     assert ev.resolve_ambiguity(x, ref, c, s2, max_shift, edge_trim) == \
         resolve_ambiguity_exhaustive(x, ref, c, s2, max_shift, edge_trim)
 
 
-def test_resolve_ambiguity_decides_four_times(monkeypatch):
+def test_resolve_ambiguity_decides_twice(monkeypatch):
+    # x and x w are decided once for all three candidate shifts; -x and -x w
+    # mirror them
     c, ref, rng = _qpsk_frame(5)
     x = np.roll(np.conj(ref), 3) + 0.3 * (rng.standard_normal(len(ref))
                                          + 1j * rng.standard_normal(len(ref)))
@@ -148,7 +157,7 @@ def test_resolve_ambiguity_decides_four_times(monkeypatch):
 
     monkeypatch.setattr(ev, "map_decide", counting)
     ev.resolve_ambiguity(x, ref, c, 0.1)
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_resolve_ambiguity_scores_only_the_trimmed_window():
@@ -163,17 +172,46 @@ def test_resolve_ambiguity_scores_only_the_trimmed_window():
     assert ev.resolve_ambiguity(x, ref, c, 0.1, edge_trim=40).ser == 0.25
 
 
-def test_resolve_pol_pairing_detects_swap():
-    # three frames of 4,000 symbols: the pairing is decided on the last one
+def _pairing_by_all_four(x_hat, ref, c, sigma_sq, n_frame):
+    """The pairing with the least total SER over all four last-frame pairs; a
+    tie keeps the identity."""
+    costs = {perm: sum(ev.resolve_ambiguity(x_hat[q, -n_frame:], ref[p, -n_frame:], c,
+                                            sigma_sq).ser for p, q in enumerate(perm))
+             for perm in ((0, 1), (1, 0))}
+    return min(costs, key=costs.get)
+
+
+def test_resolve_pol_pairing_detects_swap(monkeypatch):
+    # three frames of 4,000 symbols: the pairing is decided on the last one,
+    # whose decisions the frame curve re-scores at its own edge trim
     c, ref0, rng = _qpsk_frame(7, n=12_000)
     ref = np.stack([ref0, modem.sample_symbols(c, 12_000, rng)])
     noisy = ref + 0.05 * (rng.standard_normal(ref.shape)
                           + 1j * rng.standard_normal(ref.shape))
     last_swapped = noisy.copy()
     last_swapped[:, -4_000:] = noisy[::-1, -4_000:]
+    sig = np.array([0.02, 0.03, 0.01])  # the last frame's is the pairing's
     for x_hat, pairing in ((noisy, (0, 1)), (noisy[::-1], (1, 0)),
-                           (last_swapped, (1, 0)), (last_swapped[::-1], (0, 1))):
-        assert ev.resolve_pol_pairing(x_hat, ref, c, 0.01, n_frame=4_000) == pairing
+                           (last_swapped, (1, 0)), (last_swapped[::-1], (0, 1)),
+                           (noisy[[0, 0]], None),       # a tie: both pols identical
+                           (np.full(ref.shape, np.nan + 0j), None)):
+        got, last = ev.resolve_pol_pairing(x_hat, ref, c, 0.01, n_frame=4_000)
+        assert got == _pairing_by_all_four(x_hat, ref, c, 0.01, 4_000)
+        assert pairing is None or got == pairing
+        paired = x_hat[list(got)]
+        assert np.array_equal(ev.frame_ser_curve(paired, ref, c, sig, 4_000, 10, last),
+                              ev.frame_ser_curve(paired, ref, c, sig, 4_000, 10))
+    assert ev.resolve_pol_pairing(noisy[:1], ref[:1], c, 0.01, n_frame=4_000) == ((0,), None)
+    # a correct identity settles on the first swap row: three frames decided
+    calls, resolve = [], ev.resolve_ambiguity
+
+    def counting(*args):
+        calls.append(1)
+        return resolve(*args)
+
+    monkeypatch.setattr(ev, "resolve_ambiguity", counting)
+    ev.resolve_pol_pairing(noisy, ref, c, 0.01, n_frame=4_000)
+    assert len(calls) == 3
 
 
 def test_frame_ser_curve():

@@ -114,6 +114,22 @@ def test_decide_component_matches_two_pass_rule(m):
         assert idx[-2_001] == b.shape[0]
 
 
+def test_map_decide_counts_past_256_levels():
+    # 1,024 levels per component: the top index 1,023 needs a 16-bit
+    # counter, where an 8-bit one would wrap
+    c = modem.build_constellation(1024 ** 2)
+    b = modem.decision_boundaries(c, 1e-4)
+    rng = np.random.default_rng(1024)
+    v = np.concatenate([b, np.nextafter(b, np.inf), [np.inf, np.nan],
+                        1.2 * c.levels[-1] * rng.uniform(-1.0, 1.0, 4_000)])
+    x = np.empty(v.shape, dtype=complex)
+    x.real, x.imag = v, -v
+    i_idx, q_idx = modem.map_decide(x, c, 1e-4)
+    assert i_idx.max() == q_idx.max() == 1_023
+    assert np.array_equal(i_idx, _decide_two_pass(v, b))
+    assert np.array_equal(q_idx, _decide_two_pass(-v, b))
+
+
 @pytest.mark.parametrize("m", [4, 16, 64, 256])
 def test_symbol_indices_match_argmin(m):
     rng = np.random.default_rng(m)
